@@ -30,8 +30,6 @@ from .rep_ring import (
     pieri_h,
     restrict,
     schur_multiply,
-    series_invert,
-    series_multiply,
     to_class_function,
 )
 from .poset_homology import (

@@ -20,8 +20,6 @@ from .combinatorics import partitions_of
 from .poset_homology import DEFAULT_BRUTE_FORCE_BOUND
 from .rep_ring import SchurVector
 
-FORMULA_DEGREE_LIMIT = cohomology.FORMULA_DEGREE_LIMIT
-
 DESCRIPTIONS = {
     "betti-table": "Betti numbers dim H^i = A_{2i} * C(n, 2i) with exact secant numbers A.",
     "rep-table": "Irreducible multiplicities of H^i from the signed induction formula; "
@@ -96,14 +94,21 @@ def _check_bounds(config, command) -> None:
     n = getattr(config, "n", None)
     if command in NEEDS_N and n is None:
         raise ValueError(f"{command} needs --n")
-    if command in ("betti-table", "rep-table") and n is not None and n > FORMULA_DEGREE_LIMIT:
-        raise ValueError(f"--n is limited to {FORMULA_DEGREE_LIMIT} for formula routes")
+    if n is not None and n < 0:
+        raise ValueError("--n must be nonnegative")
+    limit = cohomology.FORMULA_DEGREE_LIMIT
+    if command in ("betti-table", "rep-table") and n is not None and n > limit:
+        raise ValueError(f"--n is limited to {limit} for formula routes")
     if command == "poset-homology" and n is not None and n > config.bound:
         raise ValueError(f"--n exceeds the brute-force bound {config.bound}")
     N = getattr(config, "N", None)
     if command in ("verify-cohomology", "verify-poset-series") and N is not None \
             and N > config.bound:
         raise ValueError(f"--N exceeds the brute-force bound {config.bound}")
+    if command == "euler-check" and N < 1:
+        raise ValueError("--N must be at least 1")
+    if getattr(config, "trials", 0) < 0:
+        raise ValueError("--trials must be nonnegative")
 
 
 def _row_range(config) -> list[int]:

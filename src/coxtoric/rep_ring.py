@@ -506,10 +506,3 @@ class RepSeries:
             for (n, tpow), vec in self.cells()
         ]
 
-
-def series_multiply(a: RepSeries, b: RepSeries) -> RepSeries:
-    return a * b
-
-
-def series_invert(a: RepSeries) -> RepSeries:
-    return a.invert()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coxtoric import cli
 from coxtoric.combinatorics import all_chains
 from coxtoric.wonderful_model import representative_point
@@ -87,6 +89,21 @@ def test_out_of_bounds(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify-cohomology", "--N", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti-table", "--n", "-2"],
+    ["rep-table", "--n", "-2"],
+    ["whitney", "--n", "-2"],
+    ["betti-table", "--n", "-2", "--format", "csv"],
+    ["euler-check", "--N", "0", "--format", "csv"],
+    ["model-check", "--n", "4", "--trials", "-5"],
+])
+def test_out_of_domain_integers(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+    assert "Traceback" not in err
 
 
 def test_unknown_command(capsys):

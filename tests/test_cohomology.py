@@ -1,22 +1,43 @@
+import hashlib
 from math import comb
 
 import pytest
 
+from coxtoric import cli
 from coxtoric.cohomology import (
     betti,
     cohomology_series_formula,
     cohomology_series_poset,
     cohomology_table,
-    even_compositions,
-    even_partitions,
     exponential_specialization,
     rep_via_induction,
     rep_via_poset,
     verify_cohomology_series,
 )
-from coxtoric.rep_ring import SchurVector
+from coxtoric.rep_ring import RepSeries, SchurVector, pieri_e, pieri_h
 
 S = SchurVector
+
+
+def even_compositions(total):
+    """Ordered tuples of even parts >= 2 with the given sum."""
+    if total == 0:
+        return ((),)
+    return tuple((first,) + rest
+                 for first in range(2, total + 1, 2)
+                 for rest in even_compositions(total - first))
+
+
+def composition_sum(n, i):
+    """The induction formula expanded: sum over ordered even compositions of 2i
+    of (-1)^(i + len) e_parts h_{n-2i}, each product by iterated Pieri."""
+    acc = S.zero(n)
+    for parts in even_compositions(2 * i):
+        vec = S.unit()
+        for p in parts:
+            vec = pieri_e(vec, p)
+        acc = acc + pieri_h(vec, n - 2 * i).scale((-1) ** (i + len(parts)))
+    return acc
 
 
 def test_betti_examples():
@@ -37,7 +58,26 @@ def test_even_compositions():
     assert even_compositions(0) == ((),)
     assert set(even_compositions(4)) == {(4,), (2, 2)}
     assert set(even_compositions(6)) == {(6,), (4, 2), (2, 4), (2, 2, 2)}
-    assert set(even_partitions(6)) == {(6,), (4, 2), (2, 2, 2)}
+
+
+def test_rep_via_induction_matches_composition_sum():
+    for n in range(0, 11):
+        for i in range(0, n // 2 + 1):
+            assert rep_via_induction(n, i) == composition_sum(n, i)
+
+
+def test_series_formula_matches_series_product():
+    for N in range(0, 9):
+        h_series = RepSeries(N, {(n, 0): S.h(n) for n in range(N + 1)})
+        e_series = RepSeries(N, {(n, n // 2): S.e(n) for n in range(0, N + 1, 2)})
+        assert cohomology_series_formula(N) == h_series * e_series.invert()
+
+
+def test_rep_table_output_pinned(capsys):
+    assert cli.main(["rep-table", "--n", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5492d3a1ea901dbf644669bba9fb1ed4215fc9649a9ea5a2c6b57c87a46f48e")
 
 
 def test_rep_via_induction_examples():
