@@ -17,7 +17,7 @@ import sys
 
 from . import cohomology, cup_product, poset_homology, wonderful_model
 from .combinatorics import partitions_of
-from .poset_homology import DEFAULT_BRUTE_FORCE_BOUND
+from .poset_homology import DEFAULT_BRUTE_FORCE_BOUND, MAX_BRUTE_FORCE_BOUND
 from .rep_ring import SchurVector
 
 DESCRIPTIONS = {
@@ -91,6 +91,8 @@ NEEDS_N = {"betti-table", "rep-table", "poset-homology", "cup-dim",
 
 
 def _check_bounds(config, command) -> None:
+    if not 0 <= config.bound <= MAX_BRUTE_FORCE_BOUND:
+        raise ValueError(f"--bound must lie in 0..{MAX_BRUTE_FORCE_BOUND}")
     n = getattr(config, "n", None)
     if command in NEEDS_N and n is None:
         raise ValueError(f"{command} needs --n")
@@ -101,6 +103,9 @@ def _check_bounds(config, command) -> None:
         raise ValueError(f"--n is limited to {limit} for formula routes")
     if command == "poset-homology" and n is not None and n > config.bound:
         raise ValueError(f"--n exceeds the brute-force bound {config.bound}")
+    if command == "whitney" and n is not None and 2 * (n // 2) > config.bound:
+        raise ValueError(f"whitney --n {n} needs interval size {2 * (n // 2)}, "
+                         f"beyond the brute-force bound {config.bound}")
     N = getattr(config, "N", None)
     if command in ("verify-cohomology", "verify-poset-series") and N is not None \
             and N > config.bound:
@@ -315,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--bound", type=int, default=DEFAULT_BRUTE_FORCE_BOUND,
-                       help="brute-force interval-size bound")
+                       help="brute-force interval-size bound, "
+                            f"0..{MAX_BRUTE_FORCE_BOUND}")
         if name in ("betti-table", "rep-table", "poset-homology", "cup-dim",
                     "cup-rep", "branching-check", "whitney", "model-check"):
             p.add_argument("--n", type=int, default=None)

@@ -4,11 +4,21 @@ Fraction-free sparse Gaussian elimination: pivots of absolute value 1 are
 preferred (integer row updates, no growth from division); otherwise the row
 being reduced is rescaled by the pivot and divided by its content, so entries
 stay integers throughout. Pivot choice is a cheap Markowitz heuristic:
-shortest active row first, then the sparsest column within it.
+shortest active row first (ties to the lowest row index), then the sparsest
+column within it.
+
+The shortest row comes from a heap of (length, row index) entries with lazy
+re-push: every row is pushed once at the start, and every row that an
+elimination step changes without emptying is pushed again with its new
+length. An entry whose row is gone, or whose length no longer matches, is
+stale and skipped on pop. Each active row always has an entry with its
+current key, so a pop yields exactly the row a scan over all active rows
+would pick, at logarithmic instead of linear cost per pivot.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -23,9 +33,13 @@ def sparse_rank(rows) -> int:
             for c in r:
                 col_rows.setdefault(c, set()).add(ridx)
 
+    heap = [(len(r), ridx) for ridx, r in active.items()]
+    heapify(heap)
     rank = 0
     while active:
-        ridx = min(active, key=lambda k: (len(active[k]), k))
+        length, ridx = heappop(heap)
+        if len(active.get(ridx, ())) != length:
+            continue
         row = active.pop(ridx)
         rank += 1
         best_key = None
@@ -53,7 +67,9 @@ def sparse_rank(rows) -> int:
                         srow[c] *= scale
                 _add_multiple(srow, row, mult, sidx, col_rows)
                 _reduce_content(srow)
-            if not srow:
+            if srow:
+                heappush(heap, (len(srow), sidx))
+            else:
                 del active[sidx]
     return rank
 

@@ -89,6 +89,8 @@ def test_out_of_bounds(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify-cohomology", "--N", "10")
     assert code == 2
+    code, out, err = run_cli(capsys, "whitney", "--n", "10")
+    assert code == 2 and out == "" and "bound" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -98,6 +100,8 @@ def test_out_of_bounds(capsys):
     ["betti-table", "--n", "-2", "--format", "csv"],
     ["euler-check", "--N", "0", "--format", "csv"],
     ["model-check", "--n", "4", "--trials", "-5"],
+    ["poset-homology", "--n", "4", "--bound", "12"],
+    ["betti-table", "--n", "4", "--bound", "-2"],
 ])
 def test_out_of_domain_integers(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from coxtoric.combinatorics import partitions_of
+from coxtoric.combinatorics import (
+    apply_permutation,
+    cycle_type_representative,
+    partitions_of,
+)
 from coxtoric.linalg import boundary_product_is_zero, sparse_rank
 from coxtoric.poset_homology import (
+    IntervalComplex,
     build_interval_complex,
     cm_concentration_check,
     equivariant_top_character,
@@ -28,6 +34,66 @@ def test_sparse_rank_basics():
     # needs a non-unit pivot at some point
     assert sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 5}]) == 2
     assert sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
+
+
+def _dense_rank(rows) -> int:
+    """Rank over Q by dense Gaussian elimination in Fractions."""
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    m = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _random_matrix(rng):
+    """Sparse integer rows with explicit zeros and non-unit entries, plus
+    duplicates, multiples and sums of earlier rows; the dependent rows shrink
+    under elimination, so stale heap entries get skipped and rows re-pushed."""
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        cols = rng.sample(range(ncols), rng.randint(0, ncols))
+        rows.append({c: rng.choice((0, 1, -1, 2, -2, 3, 6, -4)) for c in cols})
+    for _ in range(rng.randint(0, 4) if rows else 0):
+        a, b = rng.choice(rows), rng.choice(rows)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append(dict(a))
+        elif kind == 1:
+            rows.append({c: rng.choice((2, -3)) * v for c, v in a.items()})
+        else:
+            rows.append({c: a.get(c, 0) + b.get(c, 0) for c in set(a) | set(b)})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_rank_matches_dense_oracle():
+    for seed in range(300):
+        rows = _random_matrix(random.Random(seed))
+        assert sparse_rank([dict(r) for r in rows]) == _dense_rank(rows), seed
+
+
+def test_sparse_rank_shrinking_rows():
+    # The pivot row {0, 1} turns each longer row into a shorter one, whose old
+    # heap entry goes stale; the staircase keeps full rank.
+    rows = [{c: 1 for c in range(k)} for k in range(6, 1, -1)]
+    rows.append({0: 2, 5: 3})
+    assert sparse_rank(rows) == _dense_rank(rows) == 6
+
+
+def test_sparse_rank_reaches_size_10():
+    # 75,600 rows: seconds with the heap pivot order, minutes with a linear
+    # scan for the shortest row.
+    assert sparse_rank(IntervalComplex(10).boundary_columns(2)) == 12721
 
 
 def test_simplex_counts():
@@ -83,6 +149,26 @@ def test_top_character_small():
     assert all(char2(mu) == 1 for mu in partitions_of(2))
     assert top_interval_representation(2) == S(2, {(2,): 1})
     assert top_interval_representation(4) == S(4, {(3, 1): 1, (2, 2): 1})
+
+
+def _fixed_chain_character(n):
+    """Hopf trace by filtering every chain of the complex for fixed ones."""
+    cx = build_interval_complex(n)
+    values = {}
+    for mu in partitions_of(n):
+        w = cycle_type_representative(mu)
+        fixed_elems = {e for e in cx.elements if apply_permutation(w, e) == e}
+        lefschetz = 0
+        for d, chains in cx.chains.items():
+            count = sum(1 for c in chains if all(x in fixed_elems for x in c))
+            lefschetz += (-1) ** d * count
+        values[mu] = Fraction((-1) ** (n // 2) * lefschetz)
+    return values
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_top_character_matches_fixed_chain_filter(n):
+    assert equivariant_top_character(n).values == _fixed_chain_character(n)
 
 
 def test_top_character_identity_is_rank():
