@@ -45,6 +45,21 @@ DESCRIPTIONS = {
 }
 
 TABLE_COMMANDS = {"betti-table", "rep-table", "whitney", "euler-check"}
+BOUND_COMMANDS = {"rep-table", "verify-cohomology", "verify-poset-series",
+                  "poset-homology", "whitney"}
+
+# Largest accepted value of (command, flag). One step past a ceiling runs for
+# minutes, exhausts memory or overflows the stack; README lists the timings.
+CEILINGS = {
+    ("betti-table", "n"): cohomology.FORMULA_DEGREE_LIMIT,
+    ("rep-table", "n"): cohomology.FORMULA_DEGREE_LIMIT,
+    ("model-check", "n"): 7,
+    ("model-check", "trials"): 1000,
+    ("cup-dim", "n"): 40,
+    ("cup-rep", "n"): 10000,
+    ("euler-check", "N"): 300,
+    ("branching-check", "n"): 20,
+}
 
 
 def _partition_str(lam) -> str:
@@ -91,16 +106,19 @@ NEEDS_N = {"betti-table", "rep-table", "poset-homology", "cup-dim",
 
 
 def _check_bounds(config, command) -> None:
-    if not 0 <= config.bound <= MAX_BRUTE_FORCE_BOUND:
+    if not 0 <= getattr(config, "bound", 0) <= MAX_BRUTE_FORCE_BOUND:
         raise ValueError(f"--bound must lie in 0..{MAX_BRUTE_FORCE_BOUND}")
+    for (name, flag), ceiling in CEILINGS.items():
+        value = getattr(config, flag) if name == command else None
+        if value is not None and value > ceiling:
+            raise ValueError(f"--{flag} is limited to {ceiling} for {command}")
     n = getattr(config, "n", None)
     if command in NEEDS_N and n is None:
         raise ValueError(f"{command} needs --n")
     if n is not None and n < 0:
         raise ValueError("--n must be nonnegative")
-    limit = cohomology.FORMULA_DEGREE_LIMIT
-    if command in ("betti-table", "rep-table") and n is not None and n > limit:
-        raise ValueError(f"--n is limited to {limit} for formula routes")
+    if command == "model-check" and n is not None and n < 1:
+        raise ValueError("--n must be at least 1")
     if command == "poset-homology" and n is not None and n > config.bound:
         raise ValueError(f"--n exceeds the brute-force bound {config.bound}")
     if command == "whitney" and n is not None and 2 * (n // 2) > config.bound:
@@ -307,8 +325,15 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main reports them as JSON with exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxtoric",
         description="Exact cohomology engine for the real toric variety of the "
                     "type-A reflection arrangement fan.")
@@ -317,13 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=DESCRIPTIONS[name])
         p.add_argument("--describe", action="store_true",
                        help="print what this command verifies and exit")
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+        formats = ("json", "csv", "plain") if name in TABLE_COMMANDS else ("json", "plain")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--bound", type=int, default=DEFAULT_BRUTE_FORCE_BOUND,
-                       help="brute-force interval-size bound, "
-                            f"0..{MAX_BRUTE_FORCE_BOUND}")
-        if name in ("betti-table", "rep-table", "poset-homology", "cup-dim",
-                    "cup-rep", "branching-check", "whitney", "model-check"):
+        if name in BOUND_COMMANDS:
+            p.add_argument("--bound", type=int, default=DEFAULT_BRUTE_FORCE_BOUND,
+                           help="brute-force interval-size bound, "
+                                f"0..{MAX_BRUTE_FORCE_BOUND}")
+        if name in NEEDS_N or name == "model-check":
             p.add_argument("--n", type=int, default=None)
         if name in ("betti-table", "rep-table"):
             p.add_argument("--i", type=int, default=None,
@@ -345,17 +371,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         config = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if config.describe:
-        sys.stdout.write(DESCRIPTIONS[config.command] + "\n")
-        return 0
-    if config.format == "csv" and config.command not in TABLE_COMMANDS:
-        sys.stderr.write(json.dumps({"error": "csv output is for table commands"}) + "\n")
-        return 2
-    try:
+        if config.describe:
+            sys.stdout.write(DESCRIPTIONS[config.command] + "\n")
+            return 0
         _check_bounds(config, config.command)
         return HANDLERS[config.command](config)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

@@ -53,7 +53,6 @@ class IntervalComplex:
         for size in range(2, top_size - 1, 2):
             for sub in combinations(range(1, top_size + 1), size):
                 elements.append(frozenset(sub))
-        elements.sort(key=lambda s: (len(s), tuple(sorted(s))))
         self.elements = elements
 
         supersets = {

@@ -7,6 +7,9 @@ The vanishing recursion sorts points into torus orbits labelled by strict
 subset chains, and each point admits an explicit one-parameter degeneration
 from the open torus, which degeneration_witness reconstructs and checks
 component by component.
+
+Every scan and serialization walks the nonempty subsets of [n] in one order,
+by size and then lexicographically, built once per n by _subsets.
 """
 
 from __future__ import annotations
@@ -22,6 +25,24 @@ from .combinatorics import (
     stirling2,
     validate_chain,
 )
+
+
+@lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Nonempty subsets of [n] as sorted tuples, by size and then lex."""
+    ground = range(1, n + 1)
+    return tuple(sub for size in ground for sub in combinations(ground, size))
+
+
+@lru_cache(maxsize=None)
+def _nested_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]], ...]:
+    """(I, J, positions of I inside J) for every I < J with |I| >= 2, both in
+    subset order; a singleton I has no 2x2 minor to test."""
+    subsets = _subsets(n)
+    return tuple(
+        (frozenset(small), frozenset(big), tuple(big.index(i) for i in small))
+        for small in subsets if len(small) > 1
+        for big in subsets if len(big) > len(small) and set(small) <= set(big))
 
 
 class ModelPoint:
@@ -50,10 +71,9 @@ class ModelPoint:
             comps[subset] = coords
         for i in range(1, n + 1):
             comps.setdefault(frozenset([i]), (Fraction(1),))
-        for size in range(2, n + 1):
-            for sub in combinations(range(1, n + 1), size):
-                if frozenset(sub) not in comps:
-                    raise ValueError(f"missing component {list(sub)}")
+        for sub in _subsets(n):
+            if frozenset(sub) not in comps:
+                raise ValueError(f"missing component {list(sub)}")
         self.components = comps
 
     def component(self, subset) -> tuple[Fraction, ...]:
@@ -73,13 +93,9 @@ class ModelPoint:
         )
 
     def to_json(self) -> dict:
-        comps = []
-        for subset in sorted(self.components, key=lambda s: (len(s), tuple(sorted(s)))):
-            comps.append({
-                "subset": sorted(subset),
-                "coords": [str(c) for c in self.components[subset]],
-            })
-        return {"n": self.n, "components": comps}
+        return {"n": self.n, "components": [
+            {"subset": list(sub), "coords": [str(c) for c in self.component(sub)]}
+            for sub in _subsets(self.n)]}
 
     @staticmethod
     def from_json(data) -> "ModelPoint":
@@ -90,51 +106,32 @@ class ModelPoint:
         return ModelPoint(data["n"], comps)
 
 
+def _minors_vanish(u, v) -> bool:
+    """Every 2x2 minor of the two-row matrix with rows u and v is zero."""
+    return all(u[a] * v[b] == u[b] * v[a]
+               for a in range(len(u)) for b in range(a + 1, len(u)))
+
+
 def projectively_equal(u, v) -> bool:
-    if len(u) != len(v):
-        return False
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return any(u) and any(v)
+    return len(u) == len(v) and _minors_vanish(u, v) and any(u) and any(v)
 
 
 def torus_embedding(coords) -> ModelPoint:
     """Image of a torus element: every component restricts the same tuple."""
-    coords = tuple(Fraction(c) for c in coords)
-    n = len(coords)
-    if any(c == 0 for c in coords):
-        raise ValueError("torus elements have no zero coordinates")
-    comps = {}
-    for size in range(1, n + 1):
-        for sub in combinations(range(1, n + 1), size):
-            comps[frozenset(sub)] = tuple(coords[i - 1] for i in sub)
-    return ModelPoint(n, comps)
+    coords = tuple(coords)
+    return torus_act(coords, representative_point(
+        (frozenset(range(1, len(coords) + 1)), frozenset())))
 
 
 def first_violation(p: ModelPoint):
     """First nested pair (I, J) whose components fail the rank-one condition,
-    or None when the point is on the model. Pairs are scanned by sorted size."""
-    subsets = sorted(p.components, key=lambda s: (len(s), tuple(sorted(s))))
-    for small in subsets:
-        inner = sorted(small)
-        u = p.components[small]
-        for big in subsets:
-            if len(big) <= len(small) or not small < big:
-                continue
-            big_sorted = sorted(big)
-            v = tuple(p.components[big][big_sorted.index(i)] for i in inner)
-            ok = True
-            for a in range(len(inner)):
-                for b in range(a + 1, len(inner)):
-                    if u[a] * v[b] != u[b] * v[a]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                return (sorted(small), sorted(big))
+    or None when the point is on the model. Pairs are scanned in subset order,
+    I first, then J."""
+    comps = p.components
+    for small, big, inner in _nested_pairs(p.n):
+        v = comps[big]
+        if not _minors_vanish(comps[small], tuple(v[k] for k in inner)):
+            return (sorted(small), sorted(big))
     return None
 
 
@@ -152,8 +149,7 @@ def orbit_of(p: ModelPoint) -> SubsetChain:
     while True:
         current = chain[-1]
         coords = p.components[current]
-        ordered = sorted(current)
-        zeros = frozenset(i for i, c in zip(ordered, coords) if c == 0)
+        zeros = frozenset(i for i, c in zip(sorted(current), coords) if c == 0)
         chain.append(zeros)
         if not zeros:
             return tuple(chain)
@@ -164,15 +160,25 @@ def representative_point(chain: SubsetChain) -> ModelPoint:
     away from the next block and 0 on it, propagated to all subsets."""
     validate_chain(chain)
     n = len(chain[0])
-    blocks = chain[:-1]
     comps = {}
-    for size in range(1, n + 1):
-        for sub in combinations(range(1, n + 1), size):
-            s = frozenset(sub)
-            stage = max(idx for idx, K in enumerate(blocks) if s <= K)
-            nxt = chain[stage + 1]
-            comps[s] = tuple(Fraction(0) if i in nxt else Fraction(1) for i in sub)
+    for sub in _subsets(n):
+        s = frozenset(sub)
+        nxt = chain[_stage(chain, s) + 1]
+        comps[s] = tuple(Fraction(0) if i in nxt else Fraction(1) for i in sub)
     return ModelPoint(n, comps)
+
+
+def _stage(chain: SubsetChain, subset: frozenset) -> int:
+    """Index of the last chain block containing the subset."""
+    return max(idx for idx, K in enumerate(chain[:-1]) if subset <= K)
+
+
+def _limit(sub, terms) -> tuple[Fraction, ...]:
+    """Limit at t = 0 of the curve i -> coeff * t^power on sub, where terms[i]
+    is (coeff, power), over its lowest power; indices without a term are 0."""
+    low = min(terms[i][1] for i in sub if i in terms)
+    return tuple(terms[i][0] if i in terms and terms[i][1] == low else Fraction(0)
+                 for i in sub)
 
 
 def degeneration_witness(p: ModelPoint) -> dict:
@@ -194,19 +200,13 @@ def degeneration_witness(p: ModelPoint) -> dict:
 
     components = []
     all_ok = True
-    for subset in sorted(p.components, key=lambda s: (len(s), tuple(sorted(s)))):
-        ordered = sorted(subset)
-        powers = [entries[i][1] for i in ordered]
-        low = min(powers)
-        limit = tuple(
-            entries[i][0] if power == low else Fraction(0)
-            for i, power in zip(ordered, powers)
-        )
-        target = p.components[subset]
+    for sub in _subsets(p.n):
+        limit = _limit(sub, entries)
+        target = p.component(sub)
         ok = projectively_equal(limit, target)
         all_ok = all_ok and ok
         components.append({
-            "subset": ordered,
+            "subset": list(sub),
             "limit": [str(c) for c in limit],
             "target": [str(c) for c in target],
             "ok": ok,
@@ -226,8 +226,7 @@ def torus_act(t, p: ModelPoint) -> ModelPoint:
         raise ValueError("torus element must have n nonzero entries")
     comps = {}
     for subset, coords in p.components.items():
-        ordered = sorted(subset)
-        comps[subset] = tuple(t[i - 1] * c for i, c in zip(ordered, coords))
+        comps[subset] = tuple(t[i - 1] * c for i, c in zip(sorted(subset), coords))
     return ModelPoint(p.n, comps)
 
 
@@ -235,15 +234,10 @@ def permute_point(w, p: ModelPoint) -> ModelPoint:
     """Relabelling action: the I-component moves to w(I), entries following w."""
     if sorted(w) != list(range(1, p.n + 1)):
         raise ValueError("w must be a permutation of 1..n")
-    inverse = [0] * p.n
-    for i, wi in enumerate(w, start=1):
-        inverse[wi - 1] = i
     comps = {}
     for subset, coords in p.components.items():
-        ordered = sorted(subset)
-        pos = {i: k for k, i in enumerate(ordered)}
-        target = frozenset(w[i - 1] for i in subset)
-        comps[target] = tuple(coords[pos[inverse[j - 1]]] for j in sorted(target))
+        images, moved = zip(*sorted(zip([w[i - 1] for i in sorted(subset)], coords)))
+        comps[frozenset(images)] = moved
     return ModelPoint(p.n, comps)
 
 
@@ -261,11 +255,6 @@ def closure_refinement(chain_a: SubsetChain, chain_b: SubsetChain) -> bool:
     return set(chain_b) <= set(chain_a)
 
 
-def _stage(chain: SubsetChain, subset: frozenset) -> int:
-    """Index of the last chain block containing the subset."""
-    return max(idx for idx, K in enumerate(chain[:-1]) if subset <= K)
-
-
 def satisfies_closure_equations(p: ModelPoint, chain: SubsetChain) -> bool:
     """Closed conditions holding identically on the orbit of the chain.
 
@@ -279,8 +268,7 @@ def satisfies_closure_equations(p: ModelPoint, chain: SubsetChain) -> bool:
         raise ValueError("chain and point sizes differ")
     for subset, coords in p.components.items():
         nxt = chain[_stage(chain, subset) + 1]
-        ordered = sorted(subset)
-        for k, coord in zip(ordered, coords):
+        for k, coord in zip(sorted(subset), coords):
             if k in nxt and coord != 0:
                 return False
     return True
@@ -299,32 +287,24 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     if not closure_refinement(fine, coarse):
         raise ValueError("first chain must refine the second")
     n = len(coarse[0])
-    fine_stage = {}
-    for idx, (K, nxt) in enumerate(zip(fine[:-1], fine[1:]), start=1):
-        for i in K - nxt:
-            fine_stage[i] = idx
+    fine_stage = {i: idx for idx, (K, nxt) in enumerate(zip(fine, fine[1:]), start=1)
+                  for i in K - nxt}
 
     target = representative_point(fine)
     t0 = Fraction(1, 2)
     sample_comps = {}
     limit_ok = True
     components = []
-    for size in range(1, n + 1):
-        for sub in combinations(range(1, n + 1), size):
-            s = frozenset(sub)
-            stage = _stage(coarse, s)
-            nxt = coarse[stage + 1]
-            powers = {i: fine_stage[i] for i in sub if i not in nxt}
-            sample_comps[s] = tuple(
-                Fraction(0) if i in nxt else t0 ** powers[i] for i in sub)
-            low = min(powers.values())
-            limit = tuple(
-                Fraction(1) if (i not in nxt and powers[i] == low) else Fraction(0)
-                for i in sub)
-            ok = projectively_equal(limit, target.components[s])
-            limit_ok = limit_ok and ok
-            if size > 1:
-                components.append({"subset": list(sub), "ok": ok})
+    for sub in _subsets(n):
+        s = frozenset(sub)
+        nxt = coarse[_stage(coarse, s) + 1]
+        terms = {i: (Fraction(1), fine_stage[i]) for i in sub if i not in nxt}
+        sample_comps[s] = tuple(
+            t0 ** terms[i][1] if i in terms else Fraction(0) for i in sub)
+        ok = projectively_equal(_limit(sub, terms), target.components[s])
+        limit_ok = limit_ok and ok
+        if len(sub) > 1:
+            components.append({"subset": list(sub), "ok": ok})
     sample = ModelPoint(n, sample_comps)
     on_model = is_on_model(sample)
     in_orbit = on_model and orbit_of(sample) == coarse
@@ -339,18 +319,13 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def chain_count_by_descents(n: int, m: int) -> int:
-    """Number of chains with m+1 blocks: m! * S(n, m)."""
-    return factorial(m) * stirling2(n, m)
-
-
 def euler_characteristic_cells(n: int) -> int:
-    """Compactly supported Euler characteristic summed over orbits: a chain
-    with m+1 blocks contributes (-2)^(n-m), one factor -2 per real 1-torus."""
+    """Compactly supported Euler characteristic summed over orbits: the
+    m! * S(n, m) chains with m+1 blocks each contribute (-2)^(n-m), one
+    factor -2 per real 1-torus."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(chain_count_by_descents(n, m) * (-2) ** (n - m)
+    return sum(factorial(m) * stirling2(n, m) * (-2) ** (n - m)
                for m in range(1, n + 1))
 
 

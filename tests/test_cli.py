@@ -1,10 +1,19 @@
+import hashlib
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from coxtoric import cli
 from coxtoric.combinatorics import all_chains
-from coxtoric.wonderful_model import representative_point
+from coxtoric.wonderful_model import (
+    ModelPoint,
+    degeneration_witness,
+    first_violation,
+    representative_point,
+    torus_act,
+)
 
 
 def run_cli(capsys, *args):
@@ -108,6 +117,81 @@ def test_out_of_domain_integers(capsys, argv):
     assert code == 2 and out == ""
     assert "error" in json.loads(err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti-table", "--n", "abc"],
+    ["cup-dim", "--n", "5", "--i", "2"],
+    ["betti-table", "--bogus", "1"],
+    [],
+])
+def test_usage_errors_are_json(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert list(json.loads(err)) == ["error"]
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["whitney", "--help"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: coxtoric") and err == ""
+
+
+@pytest.mark.parametrize("command,flag", sorted(cli.CEILINGS))
+def test_ceilings(capsys, command, flag):
+    ceiling = cli.CEILINGS[command, flag]
+    for value in (ceiling + 1, 10 ** 7):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, f"--{flag}", str(value))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"limited to {ceiling}" in json.loads(err)["error"]
+
+
+README_POINT = {"n": 3, "components": [
+    {"subset": [1, 2, 3], "coords": ["0", "0", "1"]},
+    {"subset": [1, 2], "coords": ["1", "2"]},
+    {"subset": [1, 3], "coords": ["0", "1"]},
+    {"subset": [2, 3], "coords": ["0", "1"]},
+]}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_model_output_order_pinned(tmp_path, capsys):
+    """Model output is laid out in the (size, lex) subset order and found by
+    the nested-pair scan order; these digests and violations pin both."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(README_POINT))
+    code, out, _ = run_cli(capsys, "model-check", "--point", str(path))
+    assert code == 0
+    assert _sha(out) == "f86aab5db397598d86eff20ba6c91d2b3f91c63a77b14da2c07780cebc6ae189"
+    code, out, _ = run_cli(capsys, "model-check", "--n", "5", "--seed", "3", "--trials", "20")
+    assert code == 0
+    assert _sha(out) == "c382527970760d0772d6985e558e06a74c12aab198b58a9e88aedf6beb9107a2"
+
+    depth3 = (frozenset({1, 2, 3, 4}), frozenset({2, 3, 4}), frozenset({4}), frozenset())
+    p = torus_act((2, Fraction(-3, 2), 5, 7), representative_point(depth3))
+    assert _sha(json.dumps(p.to_json())) == (
+        "e8b262a1b69ef3b601f9fc27e5fd24650a16b95926514288172b5750dc8c4736")
+    assert _sha(json.dumps(degeneration_witness(p))) == (
+        "5ae11656066f35fa9ae8fd677fec1cd8a7a5838486975c08e134beafa7d787c4")
+
+    # Replacing one component by (1, 2, ...) breaks several nested pairs;
+    # the scan reports the first in order.
+    bent = []
+    for subset in sorted(p.components, key=sorted):
+        if len(subset) > 1:
+            comps = dict(p.components)
+            comps[subset] = tuple(range(1, len(subset) + 1))
+            bent.append(first_violation(ModelPoint(4, comps)))
+    assert bent == [
+        ([1, 2], [1, 2, 3]), ([1, 2], [1, 2, 3]), ([1, 2], [1, 2, 3, 4]),
+        ([1, 2], [1, 2, 4]), ([1, 3], [1, 2, 3]), ([1, 3], [1, 3, 4]),
+        ([1, 4], [1, 2, 4]), ([2, 3], [2, 3, 4]), ([2, 3], [2, 3, 4]),
+        ([2, 4], [2, 3, 4]), ([3, 4], [2, 3, 4])]
 
 
 def test_unknown_command(capsys):
