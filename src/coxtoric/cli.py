@@ -41,7 +41,7 @@ DESCRIPTIONS = {
     "branching-check": "Complete search for a module one rank up restricting to the "
                        "cup-product span; infeasibility certifies non-extendability.",
     "whitney": "Whitney homology of the even-subset lattice: induced top interval "
-               "homologies, whose alternating sum vanishes.",
+               "homologies, whose alternating sum vanishes for even n >= 2.",
 }
 
 TABLE_COMMANDS = {"betti-table", "rep-table", "whitney", "euler-check"}
@@ -304,10 +304,11 @@ def cmd_whitney(config) -> int:
                      "rep": _rep_compact(vec)})
         json_rows.append({"n": n, "i": i, "dimension": int(vec.dimension()),
                           "multiplicities": _rep_to_multiplicities(vec)})
+    claimed = n >= 2 and n % 2 == 0  # the sum vanishes only for even n >= 2
     payload = {"command": "whitney", "n": n, "rows": json_rows,
-               "alternating_sum_zero": total.is_zero()}
+               "alternating_sum_zero": total.is_zero() if claimed else None}
     _emit(payload, rows, config)
-    return 0 if n % 2 or total.is_zero() else 1
+    return 1 if claimed and not total.is_zero() else 0
 
 
 HANDLERS = {
@@ -381,6 +382,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
+    except ArithmeticError as exc:
+        if type(exc) is not ArithmeticError:  # ZeroDivisionError etc. are faults
+            raise
+        sys.stderr.write(json.dumps({"discrepancy": str(exc)}) + "\n")
+        return 1
 
 
 def run() -> None:

@@ -6,6 +6,10 @@ m = (complex degree) + 2, which makes the bottom interval sit in m = 0 and the
 interval below an atom in m = 1. All interval homologies here are concentrated
 in top degree m = i, which is verified computationally, never assumed.
 
+Chains are built level by level: a chain of degree d + 1 is a chain of degree
+d with one element above its top appended. Each boundary rank is computed
+once, and every degree's homology is read off that list of ranks.
+
 The symmetric group character on the top homology is extracted through the
 Hopf trace: for one representative per cycle type, the alternating sum of
 counts of setwise-fixed chains equals the alternating sum of homology traces.
@@ -13,7 +17,12 @@ A chain fixed setwise is fixed blockwise, because its members have pairwise
 distinct sizes, so the chain count really is the trace on the chain group.
 The fixed chains are the chains of the subposet of fixed elements, and their
 signed count is summed by top element: a chain topped by e is e alone or a
-chain topped by some fixed f < e with e added one degree up.
+chain topped by some fixed f < e with e added one degree up. The trace reads
+the element list only, never the chains.
+
+Two results are cached because commands read them again: the homology ranks
+(re-read by the concentration check) and the decomposed top homology (re-read
+by every Whitney degree and series term); the complex is not kept.
 """
 
 from __future__ import annotations
@@ -42,38 +51,27 @@ DEFAULT_BRUTE_FORCE_BOUND = 8
 MAX_BRUTE_FORCE_BOUND = 10
 
 
+def _elements(top_size: int) -> list[frozenset]:
+    """Even subsets strictly between {} and [top_size], by size, then lex."""
+    return [frozenset(sub) for size in range(2, top_size - 1, 2)
+            for sub in combinations(range(1, top_size + 1), size)]
+
+
 class IntervalComplex:
     """Order complex of the open interval between {} and a set of even size."""
 
     def __init__(self, top_size: int):
-        if top_size < 2 or top_size % 2:
-            raise ValueError("top size must be even and at least 2")
+        if top_size < 2 or top_size % 2 or top_size > MAX_BRUTE_FORCE_BOUND:
+            raise ValueError("top size must be even and in the brute-force "
+                             f"range 2..{MAX_BRUTE_FORCE_BOUND}")
         self.top_size = top_size
-        elements = []
-        for size in range(2, top_size - 1, 2):
-            for sub in combinations(range(1, top_size + 1), size):
-                elements.append(frozenset(sub))
-        self.elements = elements
-
-        supersets = {
-            e: [f for f in elements if len(f) > len(e) and e < f] for e in elements
-        }
-        memo: dict[frozenset, list] = {}
-
-        def chains_from(e):
-            if e in memo:
-                return memo[e]
-            out = [(e,)]
-            for f in supersets[e]:
-                out.extend((e,) + c for c in chains_from(f))
-            memo[e] = out
-            return out
-
-        chains: dict[int, list[tuple]] = {-1: [()]}
-        for e in elements:
-            for c in chains_from(e):
-                chains.setdefault(len(c) - 1, []).append(c)
-        self.chains = {d: tuple(cs) for d, cs in sorted(chains.items())}
+        self.elements = elements = _elements(top_size)
+        above = {e: [f for f in elements if e < f] for e in elements}
+        self.chains: dict[int, tuple] = {-1: ((),)}
+        level = [(e,) for e in elements]
+        while level:
+            self.chains[len(self.chains) - 1] = tuple(level)
+            level = [c + (f,) for c in level for f in above[c[-1]]]
 
     def simplex_count(self, d: int) -> int:
         return len(self.chains.get(d, ()))
@@ -100,15 +98,8 @@ class IntervalComplex:
         return sum((-1) ** d * self.simplex_count(d) for d in self.dimensions())
 
 
-@lru_cache(maxsize=None)
 def build_interval_complex(top_size: int) -> IntervalComplex:
     return IntervalComplex(top_size)
-
-
-@lru_cache(maxsize=None)
-def _boundary_rank(top_size: int, d: int) -> int:
-    cx = build_interval_complex(top_size)
-    return sparse_rank(cx.boundary_columns(d))
 
 
 @lru_cache(maxsize=None)
@@ -124,15 +115,11 @@ def homology_ranks(interval_size: int) -> dict[int, int]:
         return {0: 1}
     cx = build_interval_complex(interval_size)
     top = interval_size // 2 - 2
-    ranks: dict[int, int] = {}
-    for d in range(-1, top + 1):
-        c_d = cx.simplex_count(d)
-        r_d = _boundary_rank(interval_size, d) if d >= 0 else 0
-        r_up = _boundary_rank(interval_size, d + 1) if d + 1 <= top else 0
-        h = c_d - r_d - r_up
-        if h:
-            ranks[d + 2] = h
-    return ranks
+    # rank[d + 1] is the rank of the boundary out of degree d, for d = -1..top+1.
+    rank = [0] + [sparse_rank(cx.boundary_columns(d)) for d in range(top + 1)] + [0]
+    homology = {d + 2: cx.simplex_count(d) - rank[d + 1] - rank[d + 2]
+                for d in range(-1, top + 1)}
+    return {m: h for m, h in homology.items() if h}
 
 
 def cm_concentration_check(n: int) -> bool:
@@ -143,7 +130,6 @@ def cm_concentration_check(n: int) -> bool:
     return set(ranks) == {n // 2}
 
 
-@lru_cache(maxsize=None)
 def equivariant_top_character(n: int) -> ClassFunction:
     """Character of S_n on the top homology of the interval below [n].
 
@@ -159,12 +145,12 @@ def equivariant_top_character(n: int) -> ClassFunction:
         raise ArithmeticError(
             f"homology below [{n}] is not concentrated in degree {n // 2}; "
             "the fixed-chain trace does not apply")
-    cx = build_interval_complex(n)
     sign_top = (-1) ** (n // 2)
+    elements = _elements(n)
     values: dict[tuple, Fraction] = {}
     for mu in partitions_of(n):
         w = cycle_type_representative(mu)
-        fixed = [e for e in cx.elements if apply_permutation(w, e) == e]
+        fixed = [e for e in elements if apply_permutation(w, e) == e]
         # topped[j]: signed count of fixed chains whose top element is fixed[j].
         # Elements are sorted by size, so every f < fixed[j] comes before it.
         topped: list[int] = []

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from coxtoric import cli
+from coxtoric import cli, cohomology, cup_product, poset_homology, wonderful_model
 from coxtoric.combinatorics import all_chains
+from coxtoric.rep_ring import ClassFunction, SchurVector
 from coxtoric.wonderful_model import (
     ModelPoint,
     degeneration_witness,
@@ -302,3 +303,66 @@ def test_whitney_command(capsys):
     assert payload["alternating_sum_zero"]
     assert payload["rows"][0]["dimension"] == 1
     assert payload["rows"][1]["dimension"] == 15
+
+
+@pytest.mark.parametrize("n,expected", [(0, None), (1, None), (3, None),
+                                        (2, True), (6, True)])
+def test_whitney_claim_only_for_even_n(capsys, n, expected):
+    code, out, _ = run_cli(capsys, "whitney", "--n", str(n))
+    assert code == 0
+    assert json.loads(out)["alternating_sum_zero"] is expected
+
+
+@pytest.mark.parametrize("target,replacement,argv", [
+    (cup_product, ("_signed_permutation_character", ClassFunction.trivial),
+     ("cup-rep", "--n", "6")),
+    (poset_homology, ("cm_concentration_check", lambda n: False),
+     ("poset-homology", "--n", "6")),
+], ids=["cup-rep", "poset-homology"])
+def test_discrepancy_is_json(monkeypatch, capsys, target, replacement, argv):
+    monkeypatch.setattr(target, *replacement)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert list(json.loads(err)) == ["discrepancy"]
+
+
+def test_arithmetic_fault_is_not_a_discrepancy(monkeypatch, capsys):
+    def divide(n):
+        return 1 // 0
+
+    monkeypatch.setattr(cup_product, "_signed_permutation_character", divide)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["cup-rep", "--n", "6"])
+
+
+def _wrong_at(module, name, cell, bump):
+    """Patch module.name so that it returns a wrong value at one argument tuple."""
+    right = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        value = right(*args, **kwargs)
+        return bump(value) if args == cell else value
+
+    return module, name, patched
+
+
+@pytest.mark.parametrize("patch,argv,failing", [
+    (_wrong_at(cohomology, "rep_via_induction", (4, 2),
+               lambda v: v + SchurVector(4, {(4,): 1})),
+     ("verify-cohomology", "--N", "6"), {"n": 4, "t_power": 2}),
+    (_wrong_at(poset_homology, "top_interval_representation", (4,),
+               lambda v: v + SchurVector(4, {(4,): 1})),
+     ("verify-poset-series", "--N", "6"), {"n": 4}),
+    (_wrong_at(wonderful_model, "euler_characteristic_cells", (3,), lambda v: v + 1),
+     ("euler-check", "--N", "5"), {"n": 3}),
+    (_wrong_at(cohomology, "betti", (6, 2), lambda v: v + 1),
+     ("rep-table", "--n", "6"), {"n": 6, "i": 2}),
+], ids=["verify-cohomology", "verify-poset-series", "euler-check", "rep-table"])
+def test_first_failing_cell_reported(monkeypatch, capsys, patch, argv, failing):
+    monkeypatch.setattr(*patch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in out + err
+    report = json.loads(out or err)
+    named = report.get("first_failing", {k: report.get(k) for k in failing})
+    assert named == failing

@@ -1,9 +1,15 @@
+import gc
+import hashlib
 import random
+import time
+import weakref
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from coxtoric import poset_homology
+from coxtoric.cohomology import rep_via_poset
 from coxtoric.combinatorics import (
     apply_permutation,
     cycle_type_representative,
@@ -220,3 +226,47 @@ def test_series_sides_shape():
     assert lhs[0] == S.unit()
     assert lhs[2] == S(2, {(2,): -1})
     assert set(lhs) == {0, 2, 4, 6}
+
+
+# sha256 of every chain of IntervalComplex(n), degree by degree, in order.
+# Size 10 hashes to 21828e84b95141f1089e1ea5d74e791e5b15cf9f0cf90c07c7982e78e9475770.
+CHAIN_DIGESTS = {
+    2: "23db303f6e9471e84400934ef90ae56374b92a8673646e9550cee79b8c3d20dc",
+    4: "bc028840c3d39c14fe64ed6fe9ca34254789ebe186cc736908539640e5525597",
+    6: "66b0d692e5408b0ccadde4f5f0dd60e66683c427e55ef22332d451d0659839e7",
+    8: "662fa5c454950ebab7844e6039ce4e97704cf92c1bb2fb4be6d1b7a38654cb02",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CHAIN_DIGESTS))
+def test_chain_order_pinned(n):
+    cx = IntervalComplex(n)
+    text = repr([(d, [[sorted(e) for e in c] for c in cs]) for d, cs in cx.chains.items()])
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_DIGESTS[n]
+
+
+def test_complex_not_retained(monkeypatch):
+    built = []
+
+    class Recorded(IntervalComplex):
+        def __init__(self, top_size):
+            super().__init__(top_size)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(poset_homology, "IntervalComplex", Recorded)
+    assert homology_ranks.__wrapped__(8) == {4: 1385}
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: homology_ranks(12),
+    lambda: equivariant_top_character(12),
+    lambda: whitney_homology(12, 6),
+    lambda: rep_via_poset(12, 6, bound=12),
+], ids=["homology_ranks", "equivariant_top_character", "whitney_homology", "rep_via_poset"])
+def test_brute_force_ceiling(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        call()
+    assert time.perf_counter() - start < 1
