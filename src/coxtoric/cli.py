@@ -58,8 +58,10 @@ CEILINGS = {
     ("cup-dim", "n"): 40,
     ("cup-rep", "n"): 10000,
     ("euler-check", "N"): 300,
-    ("branching-check", "n"): 20,
+    ("branching-check", "n"): 29,
 }
+# cup-rep cross-checks the Pieri route by the signed trace up to this n.
+CUP_REP_CROSS_CHECK_LIMIT = 20
 
 
 def _partition_str(lam) -> str:
@@ -162,7 +164,7 @@ def cmd_rep_table(config) -> int:
         rep = entry["rep"]
         if rep.dimension() != entry["betti"]:
             sys.stderr.write(json.dumps(
-                {"error": "dimension mismatch", "n": entry["n"], "i": entry["i"]}) + "\n")
+                {"discrepancy": "dimension mismatch", "n": entry["n"], "i": entry["i"]}) + "\n")
             return 1
         rows.append({"n": entry["n"], "i": entry["i"], "betti": entry["betti"],
                      "rep": _rep_compact(rep)})
@@ -273,12 +275,13 @@ def cmd_cup_dim(config) -> int:
 
 
 def cmd_cup_rep(config) -> int:
-    rep = cup_product.cup_span_representation(config.n, cross_check=config.n <= 8)
+    checked = config.n <= CUP_REP_CROSS_CHECK_LIMIT
+    rep = cup_product.cup_span_representation(config.n, cross_check=checked)
     payload = {
         "command": "cup-rep", "n": config.n,
         "multiplicities": _rep_to_multiplicities(rep),
         "dimension": int(rep.dimension()),
-        "character_cross_checked": config.n <= 8,
+        "character_cross_checked": checked,
     }
     _emit(payload, None, config)
     return 0

@@ -2,28 +2,34 @@
 degree two spanned by their cup products.
 
 A degree-one class nu(i, j) is skew in its indices; products of two classes
-vanish whenever the index pairs meet, and products over disjoint pairs are
-independent, so a basis of the cup span consists of the three pairings of
-each 4-subset. Degree-one classes anticommute, which the normal form tracks:
-reordering two factors flips the sign, and this sign is what makes the
-signed-permutation character agree with the induced-module description.
+vanish whenever the index pairs meet. `cup_reduce` *assumes*, and does not
+compute, that products over disjoint pairs are independent, so a basis of the
+cup span consists of the three pairings of each 4-subset. Degree-one classes
+anticommute, which the normal form tracks: reordering two factors flips the
+sign, and `cup_reduce` is the one place that orders two pairs.
+
+The cup span is evaluated once, by Pieri induction, and checked by one
+independent route: the signed trace of each permutation w on the pairing
+basis. A pairing fixed by w lies on a 4-set that w maps to itself, a union of
+cycles of w, so the trace reads only those 4-sets. The routes are compared as
+characters; characters determine decompositions, so this is as strong as
+comparing decompositions.
+
+The branching search seeks an S_(n+1)-module restricting to a target.
+Restrictions are multiplicity-free and multiplicities nonnegative, so a
+partition of n+1 with positive multiplicity restricts inside the target's
+support; every other partition is forced to 0 and left out of the search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .combinatorics import partitions_of, cycle_type_representative
-from .rep_ring import (
-    ClassFunction,
-    SchurVector,
-    decompose,
-    pieri_h,
-    restrict,
-    irrep_dimension,
-)
+from .rep_ring import (ClassFunction, SchurVector, decompose, irrep_dimension,
+                       pieri_h, restrict, to_class_function)
 
 
 def degree_one_class(i: int, j: int) -> tuple[tuple[int, int], int]:
@@ -51,14 +57,14 @@ def cup_reduce(first, second):
     return {(p1, p2): Fraction(sign)}
 
 
+def _pairings(i: int, j: int, k: int, l: int) -> tuple:
+    """The three pairings of the 4-set i < j < k < l, as basis keys."""
+    return (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+
+
 def basis_keys(n: int) -> list[tuple]:
     """The three disjoint pairings of every 4-subset of [n]."""
-    keys = []
-    for i, j, k, l in combinations(range(1, n + 1), 4):
-        keys.append(((i, j), (k, l)))
-        keys.append(((i, k), (j, l)))
-        keys.append(((i, l), (j, k)))
-    return keys
+    return [key for four in combinations(range(1, n + 1), 4) for key in _pairings(*four)]
 
 
 def cup_span_dimension(n: int) -> int:
@@ -70,12 +76,8 @@ def cup_span_dimension(n: int) -> int:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    seen = set()
     pairs = list(combinations(range(1, n + 1), 2))
-    for a in pairs:
-        for b in pairs:
-            for key in cup_reduce(a, b):
-                seen.add(key)
+    seen = {key for a in pairs for b in pairs for key in cup_reduce(a, b)}
     expected = set(basis_keys(n))
     if seen != expected:
         raise ArithmeticError("reduced products do not match the pairing basis")
@@ -92,13 +94,9 @@ def permute_degree_one(w, pair) -> tuple[tuple[int, int], int]:
 def permute_basis_key(w, key) -> tuple[tuple, int]:
     """Action on a product basis element; the result is again a basis element
     together with the accumulated sign (factor signs and anticommutation)."""
-    (p1, s1) = permute_degree_one(w, key[0])
-    (p2, s2) = permute_degree_one(w, key[1])
-    sign = s1 * s2
-    if p1 > p2:
-        p1, p2 = p2, p1
-        sign = -sign
-    return (p1, p2), sign
+    (a, b), (c, d) = key
+    [(new_key, sign)] = cup_reduce((w[a - 1], w[b - 1]), (w[c - 1], w[d - 1])).items()
+    return new_key, int(sign)
 
 
 def act_on_degree_two(w, terms: dict) -> dict:
@@ -110,15 +108,19 @@ def act_on_degree_two(w, terms: dict) -> dict:
 
 
 def _signed_permutation_character(n: int) -> ClassFunction:
-    keys = basis_keys(n)
+    """Signed trace on the pairing basis, read on the w-stable 4-sets only:
+    the unions of cycles of length at most 4 whose sizes sum to 4."""
     values = {}
     for mu in partitions_of(n):
         w = cycle_type_representative(mu)
+        cycles = [tuple(range(end - part + 1, end + 1))
+                  for part, end in zip(mu, accumulate(mu)) if part <= 4]
+        unions = (sum(chosen, ()) for r in range(1, 5) for chosen in combinations(cycles, r))
+        keys = [key for four in unions if len(four) == 4 for key in _pairings(*four)]
         trace = 0
         for key in keys:
-            new_key, sign = permute_basis_key(w, key)
-            if new_key == key:
-                trace += sign
+            image, sign = permute_basis_key(w, key)
+            trace += sign if image == key else 0
         values[mu] = Fraction(trace)
     return ClassFunction(n, values)
 
@@ -128,16 +130,16 @@ def cup_span_representation(n: int, cross_check: bool = True) -> SchurVector:
     induced up with a trivial factor, evaluated by Pieri.
 
     With cross_check, the signed-permutation character of the action on the
-    pairing basis is decomposed independently and must agree.
+    pairing basis must equal the character of the Pieri route.
     """
     if n < 4:
         raise ValueError("n must be at least 4")
     pieri_route = pieri_h(SchurVector(4, {(2, 1, 1): 1}), n - 4)
     if cross_check:
-        char_route = decompose(_signed_permutation_character(n))
-        if char_route != pieri_route:
+        char = _signed_permutation_character(n)
+        if char != to_class_function(pieri_route):
             raise ArithmeticError(
-                f"character route {char_route!r} disagrees with "
+                f"character route {decompose(char)!r} disagrees with "
                 f"Pieri route {pieri_route!r} at n={n}")
     return pieri_route
 
@@ -146,63 +148,39 @@ def branching_certificate(target: SchurVector) -> dict:
     """Search for nonnegative multiplicities c over partitions of n+1 with
     sum of c * restriction equal to the target.
 
-    Complete depth-first search: partitions are tried in decreasing dimension
-    order, each multiplicity is bounded by the remaining target, and a branch
-    is pruned when some remaining target coordinate can no longer be covered.
-    An infeasible answer is therefore exhaustive, not heuristic.
+    Complete depth-first search over the partitions that restrict inside the
+    target's support, in decreasing dimension order: each multiplicity is
+    bounded by the remaining target, and a branch is pruned when some
+    remaining coordinate can no longer be covered. An infeasible answer is
+    therefore exhaustive, not heuristic.
     """
     n = target.n
     if not target.is_integral() or any(c < 0 for c in target.coeffs.values()):
         raise ValueError("target must have nonnegative integer multiplicities")
-    lams = sorted(partitions_of(n + 1), key=irrep_dimension, reverse=True)
-    restrictions = [
-        {mu: int(c) for mu, c in restrict(SchurVector(n + 1, {lam: 1})).coeffs.items()}
-        for lam in lams
-    ]
-    coverage = []
-    later: set = set()
-    for res in reversed(restrictions):
-        later = later | set(res)
-        coverage.append(set(later))
-    coverage.reverse()
+    restrictions = ((lam, restrict(SchurVector(n + 1, {lam: 1})).coeffs)
+                    for lam in sorted(partitions_of(n + 1), key=irrep_dimension, reverse=True))
+    candidates = [(lam, res) for lam, res in restrictions if res.keys() <= target.coeffs.keys()]
 
-    residual = {mu: int(c) for mu, c in target.coeffs.items()}
-    witness: dict = {}
-
-    def feasible_from(idx) -> bool:
+    def search(idx, residual):
         live = {mu for mu, c in residual.items() if c}
         if not live:
-            return True
-        if idx == len(lams) or not live <= coverage[idx]:
-            return False
-        res = restrictions[idx]
-        cap = min((residual.get(mu, 0) for mu in res), default=0)
-        for c in range(cap, -1, -1):
-            if c:
-                for mu in res:
-                    residual[mu] = residual.get(mu, 0) - c
-                if any(v < 0 for v in residual.values()):
-                    for mu in res:
-                        residual[mu] += c
-                    continue
-                witness[lams[idx]] = c
-            if feasible_from(idx + 1):
-                return True
-            if c:
-                for mu in res:
-                    residual[mu] += c
-                witness.pop(lams[idx], None)
-        return False
+            return {}
+        if not live <= {mu for _, res in candidates[idx:] for mu in res}:
+            return None
+        lam, res = candidates[idx]
+        for c in range(min(residual[mu] for mu in res), -1, -1):
+            found = search(idx + 1, {mu: v - c if mu in res else v
+                                     for mu, v in residual.items()})
+            if found is not None:
+                return {lam: c, **found} if c else found
+        return None
 
-    if feasible_from(0):
-        return {
-            "status": "feasible",
-            "witness": [
-                {"partition": list(lam), "multiplicity": witness[lam]}
-                for lam in sorted(witness, reverse=True) if witness[lam]
-            ],
-        }
-    return {"status": "infeasible", "witness": None}
+    witness = search(0, {mu: int(c) for mu, c in target.coeffs.items()})
+    if witness is None:
+        return {"status": "infeasible", "witness": None}
+    entries = sorted(witness.items(), reverse=True)
+    return {"status": "feasible",
+            "witness": [{"partition": list(lam), "multiplicity": c} for lam, c in entries]}
 
 
 def branching_infeasibility(n: int) -> dict:

@@ -317,14 +317,12 @@ class ClassFunction:
 
 
 def to_class_function(v: SchurVector) -> ClassFunction:
-    table = character_table(v.n)
-    values: dict[Partition, Fraction] = {}
-    for mu in partitions_of(v.n):
-        val = Fraction(0)
-        for lam, c in v.coeffs.items():
-            val += c * table[lam][mu]
-        values[mu] = val
-    return ClassFunction(v.n, values)
+    """Character of v: on each cycle type, the sum of c times the
+    Murnaghan-Nakayama value over v's own constituents only, so a vector with
+    few constituents never builds the full character table."""
+    return ClassFunction(v.n, {
+        mu: sum((c * _mn_value(lam, mu) for lam, c in v.coeffs.items()), Fraction(0))
+        for mu in partitions_of(v.n)})
 
 
 def decompose(f: ClassFunction) -> SchurVector:

@@ -316,9 +316,11 @@ def test_whitney_claim_only_for_even_n(capsys, n, expected):
 @pytest.mark.parametrize("target,replacement,argv", [
     (cup_product, ("_signed_permutation_character", ClassFunction.trivial),
      ("cup-rep", "--n", "6")),
+    (cup_product, ("_signed_permutation_character", ClassFunction.trivial),
+     ("cup-rep", "--n", "12")),
     (poset_homology, ("cm_concentration_check", lambda n: False),
      ("poset-homology", "--n", "6")),
-], ids=["cup-rep", "poset-homology"])
+], ids=["cup-rep", "cup-rep-12", "poset-homology"])
 def test_discrepancy_is_json(monkeypatch, capsys, target, replacement, argv):
     monkeypatch.setattr(target, *replacement)
     code, out, err = run_cli(capsys, *argv)
@@ -366,3 +368,11 @@ def test_first_failing_cell_reported(monkeypatch, capsys, patch, argv, failing):
     report = json.loads(out or err)
     named = report.get("first_failing", {k: report.get(k) for k in failing})
     assert named == failing
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_rep_table_mismatch_is_a_discrepancy(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(*_wrong_at(cohomology, "betti", (6, 2), lambda v: v + 1))
+    code, out, err = run_cli(capsys, "rep-table", "--n", "6", "--format", fmt)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"discrepancy": "dimension mismatch", "n": 6, "i": 2}

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -15,8 +17,10 @@ from coxtoric.cup_product import (
     degree_one_class,
     permute_basis_key,
     permute_degree_one,
+    _signed_permutation_character,
 )
-from coxtoric.rep_ring import SchurVector, restrict
+from coxtoric.combinatorics import cycle_type_representative, partitions_of
+from coxtoric.rep_ring import ClassFunction, SchurVector, restrict
 
 S = SchurVector
 
@@ -139,3 +143,74 @@ def test_branching_validates_input():
         branching_certificate(S(4, {(2, 2): Fraction(1, 2)}))
     with pytest.raises(ValueError):
         branching_infeasibility(3)
+
+
+def _full_key_scan(n):
+    """The signed trace over all 3 * C(n, 4) pairing keys, each relabelled
+    and put back in normal form here, without the module's helpers."""
+    values = {}
+    for mu in partitions_of(n):
+        w = cycle_type_representative(mu)
+        trace = 0
+        for key in basis_keys(n):
+            sign, pairs = 1, []
+            for i, j in key:
+                a, b = w[i - 1], w[j - 1]
+                sign *= 1 if a < b else -1
+                pairs.append((min(a, b), max(a, b)))
+            if pairs[0] > pairs[1]:
+                pairs.reverse()
+                sign = -sign
+            trace += sign if tuple(pairs) == key else 0
+        values[mu] = trace
+    return ClassFunction(n, values)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_stable_four_set_trace_matches_full_key_scan(n):
+    assert _signed_permutation_character(n) == _full_key_scan(n)
+
+
+def _brute_force_feasible(target):
+    """Whether some multiplicity vector over partitions of n+1, with entries
+    up to the target's largest coefficient, restricts to the target."""
+    lams = partitions_of(target.n + 1)
+    res = [restrict(S(target.n + 1, {lam: 1})).coeffs for lam in lams]
+    want = {mu: int(c) for mu, c in target.coeffs.items()}
+    cap = max(want.values(), default=0)
+    for mults in product(range(cap + 1), repeat=len(lams)):
+        total = {}
+        for c, r in zip(mults, res):
+            for mu in r if c else ():
+                total[mu] = total.get(mu, 0) + c
+        if total == want:
+            return True
+    return False
+
+
+def test_branching_matches_brute_force():
+    rng = random.Random(8)
+    targets = [restrict(S(n + 1, {lam: 1})) for n in range(1, 5)
+               for lam in partitions_of(n + 1)]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        m = n + rng.randint(0, 1)  # a restriction from degree n+1, or any vector
+        parts = partitions_of(m)
+        vec = S(m, {lam: rng.randint(1, 2) for lam in rng.sample(parts, min(3, len(parts)))})
+        targets.append(restrict(vec) if m > n else vec)
+    verdicts = []
+    for target in targets:
+        cert = branching_certificate(target)
+        verdicts.append(cert["status"])
+        assert _brute_force_feasible(target) == (cert["status"] == "feasible"), target
+        if cert["witness"] is not None:
+            rebuilt = S(target.n + 1, {tuple(e["partition"]): e["multiplicity"]
+                                       for e in cert["witness"]})
+            assert restrict(rebuilt) == target
+    assert set(verdicts) == {"feasible", "infeasible"}
+
+
+def test_branching_past_twenty():
+    start = time.perf_counter()
+    assert branching_infeasibility(21)["status"] == "infeasible"
+    assert time.perf_counter() - start < 5
