@@ -241,7 +241,8 @@ def cmd_model_check(config) -> int:
         else:
             with open(config.point) as fh:
                 data = json.load(fh)
-        point = wonderful_model.ModelPoint.from_json(data)
+        point = wonderful_model.ModelPoint.from_json(
+            data, max_n=CEILINGS["model-check", "n"])
         membership = wonderful_model.is_on_model(point)
         payload = {"command": "model-check", "n": point.n, "on_model": membership}
         if membership:

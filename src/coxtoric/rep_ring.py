@@ -9,6 +9,10 @@ the test suite exploits as an oracle.
 
 RepSeries adjoins a polynomial variable t and truncates total degree, which is
 all the series identities here need.
+
+Every sum of coefficients by key goes through _summed. Coefficients become
+Fractions only in the validating constructor shared by SchurVector and
+ClassFunction, in scale, decompose and from_json; the rest combines them.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial
 
 from .combinatorics import (
@@ -27,6 +32,28 @@ from .combinatorics import (
 )
 
 
+def _summed(pairs) -> dict:
+    """Sum the coefficients of (key, coefficient) pairs that share a key, each
+    sum starting from its key's first coefficient."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out[key] + c if key in out else c
+    return out
+
+
+def _validated(n: int, entries, kind: str) -> dict[Partition, Fraction]:
+    """Nonzero Fractions keyed by partitions of n; a bad key is named as kind."""
+    clean: dict[Partition, Fraction] = {}
+    for lam, c in (entries or {}).items():
+        lam = check_partition(lam)
+        if sum(lam) != n:
+            raise ValueError(f"{kind} {lam} does not have degree {n}")
+        c = Fraction(c)
+        if c:
+            clean[lam] = c
+    return clean
+
+
 class SchurVector:
     """A rational linear combination of partitions of a fixed degree n."""
 
@@ -34,15 +61,7 @@ class SchurVector:
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
-        clean: dict[Partition, Fraction] = {}
-        for lam, c in (coeffs or {}).items():
-            lam = check_partition(lam)
-            if sum(lam) != n:
-                raise ValueError(f"partition {lam} does not have degree {n}")
-            c = Fraction(c)
-            if c:
-                clean[lam] = c
-        self.coeffs = clean
+        self.coeffs = _validated(n, coeffs, "partition")
 
     @staticmethod
     def unit() -> "SchurVector":
@@ -55,15 +74,11 @@ class SchurVector:
     @staticmethod
     def h(k: int) -> "SchurVector":
         """Class of the trivial module of S_k."""
-        if k == 0:
-            return SchurVector.unit()
-        return SchurVector(k, {(k,): 1})
+        return SchurVector(k, {(k,) if k else (): 1})
 
     @staticmethod
     def e(k: int) -> "SchurVector":
         """Class of the sign module of S_k."""
-        if k == 0:
-            return SchurVector.unit()
         return SchurVector(k, {(1,) * k: 1})
 
     def is_zero(self) -> bool:
@@ -83,10 +98,8 @@ class SchurVector:
     def __add__(self, other: "SchurVector") -> "SchurVector":
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return SchurVector(self.n, out)
+        return SchurVector(self.n, _summed(
+            chain(self.coeffs.items(), other.coeffs.items())))
 
     def __sub__(self, other: "SchurVector") -> "SchurVector":
         return self + (-other)
@@ -126,11 +139,9 @@ class SchurVector:
 
     @staticmethod
     def from_json(n: int, data) -> "SchurVector":
-        coeffs = {}
-        for entry in data:
-            lam = tuple(entry["partition"])
-            coeffs[lam] = Fraction(entry["numerator"], entry.get("denominator", 1))
-        return SchurVector(n, coeffs)
+        return SchurVector(n, {
+            tuple(entry["partition"]): Fraction(entry["numerator"], entry.get("denominator", 1))
+            for entry in data})
 
 
 @lru_cache(maxsize=None)
@@ -184,26 +195,23 @@ def _vertical_strips(lam: Partition, k: int):
     return out
 
 
-def pieri_h(v: SchurVector, k: int) -> SchurVector:
-    """Induction product with the trivial class h_k (horizontal strips)."""
+def _pieri(v: SchurVector, k: int, strips) -> SchurVector:
+    """Pieri rule: each constituent lam of v spreads its coefficient over the
+    partitions strips(lam, k)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out: dict[Partition, Fraction] = {}
-    for lam, c in v.coeffs.items():
-        for mu in _horizontal_strips(lam, k):
-            out[mu] = out.get(mu, Fraction(0)) + c
-    return SchurVector(v.n + k, out)
+    return SchurVector(v.n + k, _summed(
+        (mu, c) for lam, c in v.coeffs.items() for mu in strips(lam, k)))
+
+
+def pieri_h(v: SchurVector, k: int) -> SchurVector:
+    """Induction product with the trivial class h_k (horizontal strips)."""
+    return _pieri(v, k, _horizontal_strips)
 
 
 def pieri_e(v: SchurVector, k: int) -> SchurVector:
     """Induction product with the sign class e_k (vertical strips)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out: dict[Partition, Fraction] = {}
-    for lam, c in v.coeffs.items():
-        for mu in _vertical_strips(lam, k):
-            out[mu] = out.get(mu, Fraction(0)) + c
-    return SchurVector(v.n + k, out)
+    return _pieri(v, k, _vertical_strips)
 
 
 def omega(v: SchurVector) -> SchurVector:
@@ -215,16 +223,10 @@ def restrict(v: SchurVector) -> SchurVector:
     """Branching to degree n-1: remove one corner box in all possible ways."""
     if v.n < 1:
         raise ValueError("cannot restrict degree 0")
-    out: dict[Partition, Fraction] = {}
-    for lam, c in v.coeffs.items():
-        for i in range(len(lam)):
-            if i == len(lam) - 1 or lam[i] > lam[i + 1]:
-                if lam[i] > 1:
-                    mu = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
-                else:
-                    mu = lam[:i] + lam[i + 1:]
-                out[mu] = out.get(mu, Fraction(0)) + c
-    return SchurVector(v.n - 1, out)
+    return SchurVector(v.n - 1, _summed(
+        (lam[:i] + ((lam[i] - 1,) if lam[i] > 1 else ()) + lam[i + 1:], c)
+        for lam, c in v.coeffs.items()
+        for i in range(len(lam)) if i == len(lam) - 1 or lam[i] > lam[i + 1]))
 
 
 def _border_strips(lam: Partition, r: int):
@@ -238,9 +240,7 @@ def _border_strips(lam: Partition, r: int):
         if nb < 0 or nb in bset:
             continue
         height = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((x for x in beta if x != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
+        newbeta = sorted(bset - {b} | {nb}, reverse=True)
         mu = tuple(newbeta[j] - (L - 1 - j) for j in range(L))
         out.append((tuple(p for p in mu if p > 0), height))
     return out
@@ -261,7 +261,7 @@ def irreducible_character(lam: Partition, mu: Partition) -> int:
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("lam and mu must partition the same n")
-    return _mn_value(lam, tuple(sorted(mu, reverse=True)))
+    return _mn_value(lam, mu)
 
 
 @lru_cache(maxsize=None)
@@ -277,15 +277,7 @@ class ClassFunction:
 
     def __init__(self, n: int, values=None):
         self.n = n
-        clean: dict[Partition, Fraction] = {}
-        for mu, val in (values or {}).items():
-            mu = check_partition(mu)
-            if sum(mu) != n:
-                raise ValueError(f"cycle type {mu} does not have degree {n}")
-            val = Fraction(val)
-            if val:
-                clean[mu] = val
-        self.values = clean
+        self.values = _validated(n, values, "cycle type")
 
     @staticmethod
     def trivial(n: int) -> "ClassFunction":
@@ -301,11 +293,8 @@ class ClassFunction:
     def inner(self, other: "ClassFunction") -> Fraction:
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        total = Fraction(0)
-        for mu in partitions_of(self.n):
-            z, _ = class_data(mu) if mu else (1, 1)
-            total += self(mu) * other(mu) / z
-        return total
+        return sum((self(mu) * other(mu) / class_data(mu)[0]
+                    for mu in partitions_of(self.n)), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)
@@ -329,14 +318,10 @@ def decompose(f: ClassFunction) -> SchurVector:
     """Inverse of to_class_function; multiplicities may be non-integral rationals
     when f is not in the virtual character lattice."""
     table = character_table(f.n)
-    coeffs: dict[Partition, Fraction] = {}
-    for lam in partitions_of(f.n):
-        val = Fraction(0)
-        for mu, fv in f.values.items():
-            z, _ = class_data(mu) if mu else (1, 1)
-            val += fv * table[lam][mu] / z
-        coeffs[lam] = val
-    return SchurVector(f.n, coeffs)
+    return SchurVector(f.n, {
+        lam: sum((fv * table[lam][mu] / class_data(mu)[0] for mu, fv in f.values.items()),
+                 Fraction(0))
+        for lam in partitions_of(f.n)})
 
 
 def class_induction_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
@@ -382,27 +367,21 @@ def h_expansion(lam: Partition):
     vec = SchurVector.unit()
     for part in lam:
         vec = pieri_h(vec, part)
-    out: dict[Partition, Fraction] = {lam: Fraction(1)}
-    for mu, kostka in vec.coeffs.items():
-        if mu == lam:
-            continue
-        for nu, c in h_expansion(mu):
-            out[nu] = out.get(nu, Fraction(0)) - kostka * c
+    out = _summed(chain([(lam, Fraction(1))], (
+        (nu, -kostka * c) for mu, kostka in vec.coeffs.items() if mu != lam
+        for nu, c in h_expansion(mu))))
     return tuple(sorted((k, v) for k, v in out.items() if v))
 
 
 def schur_multiply(u: SchurVector, v: SchurVector) -> SchurVector:
-    """General induction product. Fast when one factor is a pure h_k or e_k;
-    otherwise one factor is expanded into h-products first (slow path)."""
+    """General induction product. Each constituent of the smaller factor is
+    either a column e_k, done by vertical strips, or expanded into h-products,
+    each done by horizontal strips; a single row (k) expands to h_k itself."""
     if u.n > v.n:
         u, v = v, u
     acc = SchurVector.zero(u.n + v.n)
     for lam, c in u.coeffs.items():
-        if lam == ():
-            acc = acc + v.scale(c)
-        elif len(lam) == 1:
-            acc = acc + pieri_h(v, lam[0]).scale(c)
-        elif lam[0] == 1:
+        if len(lam) > 1 and lam[0] == 1:
             acc = acc + pieri_e(v, len(lam)).scale(c)
         else:
             for nu, d in h_expansion(lam):
@@ -472,30 +451,18 @@ class RepSeries:
         if const != [(0, 0)] or self.terms[(0, 0)] != SchurVector.unit():
             raise ValueError("inversion requires constant term 1")
         inv = RepSeries.one(self.truncation)
-        by_degree: dict[int, list] = {}
-        for (n, tpow), vec in self.terms.items():
-            if n >= 1:
-                by_degree.setdefault(n, []).append((tpow, vec))
+        # inv_n = -sum over k >= 1 of self_k * inv_(n-k), cell by cell from
+        # the cells of inv below degree n.
         for n in range(1, self.truncation + 1):
-            acc: dict[int, SchurVector] = {}
-            for k, cells in by_degree.items():
-                if k > n:
-                    continue
-                lower = [(tp, vec) for (m, tp), vec in inv.terms.items() if m == n - k]
-                for tpow_b, vec_b in lower:
-                    for tpow_a, vec_a in cells:
-                        tp = tpow_a + tpow_b
-                        acc[tp] = (acc.get(tp, SchurVector.zero(n))
-                                   + schur_multiply(vec_a, vec_b))
-            for tp, vec in acc.items():
-                inv.set_term(n, tp, -vec)
+            for (m, tpow_b), vec_b in list(inv.terms.items()):
+                for (k, tpow_a), vec_a in self.terms.items():
+                    if k == n - m:
+                        inv.add_term(n, tpow_a + tpow_b, -schur_multiply(vec_a, vec_b))
         return inv
 
     def substitute_t(self) -> dict[int, SchurVector]:
         """Collapse t -> 1: degree n -> sum of all t-power cells."""
-        out: dict[int, SchurVector] = {}
-        for (n, _), vec in self.terms.items():
-            out[n] = out.get(n, SchurVector.zero(n)) + vec
+        out = _summed((n, vec) for (n, _), vec in self.terms.items())
         return {n: v for n, v in out.items() if not v.is_zero()}
 
     def to_json(self) -> list[dict]:

@@ -98,12 +98,29 @@ class ModelPoint:
             for sub in _subsets(self.n)]}
 
     @staticmethod
-    def from_json(data) -> "ModelPoint":
-        comps = {
-            frozenset(entry["subset"]): tuple(Fraction(c) for c in entry["coords"])
-            for entry in data["components"]
-        }
-        return ModelPoint(data["n"], comps)
+    def from_json(data, max_n: int | None = None) -> "ModelPoint":
+        """Point from the README's JSON shape. Another shape, a zero denominator or
+        an n above max_n raises ValueError before any subset is built."""
+        data = data if isinstance(data, dict) else {}
+        n, entries = data.get("n"), data.get("components")
+        if type(n) is not int or not isinstance(entries, list) or not all(
+                isinstance(e, dict) and _list_of(e.get("subset"), int)
+                and _list_of(e.get("coords"), (int, str)) for e in entries):
+            raise ValueError('a point is {"n": int, "components": [{"subset", "coords"}, ...]}')
+        if max_n is not None and n > max_n:
+            raise ValueError(f"the point's n = {n} is limited to {max_n}")
+        try:
+            comps = {frozenset(e["subset"]): tuple(map(Fraction, e["coords"]))
+                     for e in entries}
+        except ZeroDivisionError:
+            raise ValueError("a coordinate has a zero denominator") from None
+        return ModelPoint(n, comps)
+
+
+def _list_of(value, types) -> bool:
+    """A JSON list whose items all have one of the types; bools are not ints."""
+    return isinstance(value, list) and all(
+        isinstance(x, types) and not isinstance(x, bool) for x in value)
 
 
 def _minors_vanish(u, v) -> bool:
@@ -368,13 +385,13 @@ def equivariance_report(n: int, trials: int, seed: int) -> dict:
         scaled = torus_act(random_torus_element(n, rng), p)
         if not is_on_model(scaled):
             failures.append({"trial": trial, "property": "torus_invariance"})
-        if orbit_of(scaled) != orbit_of(p):
+        elif orbit_of(scaled) != orbit_of(p):
             failures.append({"trial": trial, "property": "torus_orbit_stability"})
         w = random_permutation(n, rng)
         moved = permute_point(w, p)
         if not is_on_model(moved):
             failures.append({"trial": trial, "property": "permutation_invariance"})
-        if orbit_of(moved) != permute_chain(w, orbit_of(p)):
+        elif orbit_of(moved) != permute_chain(w, orbit_of(p)):
             failures.append({"trial": trial, "property": "permutation_orbit_equivariance"})
     return {"n": n, "trials": trials, "seed": seed,
             "failures": failures, "ok": not failures}

@@ -255,11 +255,54 @@ def test_model_check_point_off_model(tmp_path, capsys):
     assert payload["first_violation"] == [[1, 3], [1, 2, 3]]
 
 
-def test_model_check_malformed_point(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '[1, 2]',
+    '{"n": "3", "components": []}',
+    '{"n": 3, "components": 5}',
+    '{"n": 3, "components": [{"subset": 5, "coords": ["1"]}]}',
+    '{"n": 3, "components": [{"subset": [1, 2], "coords": [null, 1]}]}',
+], ids=["not-json", "list", "string-n", "int-components", "int-subset", "null-coord"])
+def test_model_check_malformed_point(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "model-check", "--point", str(path))
-    assert code == 2 and err
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [8, 10**7])
+def test_model_check_point_obeys_ceiling(tmp_path, capsys, n):
+    """The point's n is checked before any subset of [n] is built."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "components": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "limited to 7" in json.loads(err)["error"]
+
+
+def test_failed_invariance_reaches_the_report(monkeypatch, capsys):
+    """A permuted point off the model is reported as a failure (exit 1), not
+    passed on to orbit_of, which would raise and exit 2."""
+    permute = wonderful_model.permute_point
+
+    def bent_permute(w, p):
+        comps = dict(permute(w, p).components)
+        comps[frozenset({1, 2})] = (Fraction(1), Fraction(1))
+        comps[frozenset({1, 2, 3})] = (Fraction(1), Fraction(2), Fraction(3))
+        return ModelPoint(p.n, comps)
+
+    monkeypatch.setattr(wonderful_model, "permute_point", bent_permute)
+    report = wonderful_model.equivariance_report(4, 3, 0)
+    assert not report["ok"]
+    assert {f["property"] for f in report["failures"]} == {"permutation_invariance"}
+    code, out, _ = run_cli(capsys, "model-check", "--n", "4", "--trials", "3")
+    assert code == 1
+    assert json.loads(out)["failures"] == report["failures"]
 
 
 def test_model_check_missing_args(capsys):

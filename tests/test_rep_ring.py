@@ -170,6 +170,32 @@ def test_schur_multiply_general():
     assert oracle == expected
 
 
+def test_schur_multiply_against_character_oracle():
+    """Random products of total degree <= 4, including the degree-0 and
+    one-row constituents that go through h_expansion."""
+    rng = random.Random(17)
+    for _ in range(40):
+        a = rng.randint(0, 4)
+        b = rng.randint(0, 4 - a)
+        u, v = random_vector(a, rng), random_vector(b, rng)
+        oracle = decompose(class_induction_product(to_class_function(u), to_class_function(v)))
+        assert schur_multiply(u, v) == oracle, (u, v)
+
+
+def test_series_invert_random():
+    """Seeded series with two t-powers in every positive degree and general
+    cells, so inversion must keep each cell's t-power apart."""
+    rng = random.Random(23)
+    N = 6
+    for _ in range(3):
+        terms = {(0, 0): S.unit()}
+        for n in range(1, N + 1):
+            for tpow in rng.sample(range(4), 2):
+                terms[(n, tpow)] = random_vector(n, rng)
+        s = RepSeries(N, terms)
+        assert s * s.invert() == RepSeries.one(N)
+
+
 def test_series_invert_geometric():
     s = RepSeries(4, {(0, 0): S.unit(), (2, 1): S.e(2)})
     inv = s.invert()
@@ -230,3 +256,10 @@ def test_schur_vector_validation():
         S(3, {(1, 2): 1})
     with pytest.raises(ValueError):
         S(2, {(2,): 1}) + S(3, {(3,): 1})
+
+
+def test_class_function_validation():
+    with pytest.raises(ValueError, match=r"cycle type \(2, 2\) does not have degree 3"):
+        ClassFunction(3, {(2, 2): 1})
+    with pytest.raises(ValueError, match="not a partition"):
+        ClassFunction(3, {(1, 2): 1})
