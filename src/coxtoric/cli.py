@@ -246,9 +246,8 @@ def cmd_model_check(config) -> int:
         membership = wonderful_model.is_on_model(point)
         payload = {"command": "model-check", "n": point.n, "on_model": membership}
         if membership:
-            chain = wonderful_model.orbit_of(point)
             witness = wonderful_model.degeneration_witness(point)
-            payload["orbit"] = [sorted(b) for b in chain]
+            payload["orbit"] = witness["chain"]
             payload["degeneration_ok"] = witness["ok"]
             payload["degeneration"] = witness
             _emit(payload, None, config)

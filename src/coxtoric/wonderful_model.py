@@ -8,6 +8,14 @@ subset chains, and each point admits an explicit one-parameter degeneration
 from the open torus, which degeneration_witness reconstructs and checks
 component by component.
 
+The membership scan works in integers: each component is scaled once per scan
+by the lcm of its denominators, which leaves every minor's vanishing as it
+was, and each nested pair is compared against one pivot, the first nonzero
+entry of the smaller component. The guard lives on the public entry points:
+is_on_model is the check, and orbit_of and degeneration_witness raise
+ValueError off the model. _orbit is the bare vanishing recursion, only for
+callers that have already checked the point themselves.
+
 Every scan and serialization walks the nonempty subsets of [n] in one order,
 by size and then lexicographically, built once per n by _subsets.
 """
@@ -17,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .combinatorics import (
     SubsetChain,
@@ -63,7 +71,13 @@ class ModelPoint:
             subset = frozenset(subset)
             if not subset or not subset <= frozenset(range(1, n + 1)):
                 raise ValueError(f"bad subset {sorted(subset)}")
-            coords = tuple(Fraction(c) for c in coords)
+            if any(isinstance(c, str) and "e" in c.lower() for c in coords):
+                raise ValueError(f"component {sorted(subset)} has a coordinate with an "
+                                 "exponent; coordinates are exact rationals")
+            try:
+                coords = tuple(Fraction(c) for c in coords)
+            except ZeroDivisionError:
+                raise ValueError("a coordinate has a zero denominator") from None
             if len(coords) != len(subset):
                 raise ValueError(f"component {sorted(subset)} has wrong length")
             if not any(coords):
@@ -99,8 +113,9 @@ class ModelPoint:
 
     @staticmethod
     def from_json(data, max_n: int | None = None) -> "ModelPoint":
-        """Point from the README's JSON shape. Another shape, a zero denominator or
-        an n above max_n raises ValueError before any subset is built."""
+        """Point from the README's JSON shape. Another shape or an n above max_n
+        raises ValueError before any subset is built; ModelPoint rejects a zero
+        denominator or an exponent."""
         data = data if isinstance(data, dict) else {}
         n, entries = data.get("n"), data.get("components")
         if type(n) is not int or not isinstance(entries, list) or not all(
@@ -109,12 +124,7 @@ class ModelPoint:
             raise ValueError('a point is {"n": int, "components": [{"subset", "coords"}, ...]}')
         if max_n is not None and n > max_n:
             raise ValueError(f"the point's n = {n} is limited to {max_n}")
-        try:
-            comps = {frozenset(e["subset"]): tuple(map(Fraction, e["coords"]))
-                     for e in entries}
-        except ZeroDivisionError:
-            raise ValueError("a coordinate has a zero denominator") from None
-        return ModelPoint(n, comps)
+        return ModelPoint(n, {frozenset(e["subset"]): e["coords"] for e in entries})
 
 
 def _list_of(value, types) -> bool:
@@ -124,9 +134,22 @@ def _list_of(value, types) -> bool:
 
 
 def _minors_vanish(u, v) -> bool:
-    """Every 2x2 minor of the two-row matrix with rows u and v is zero."""
-    return all(u[a] * v[b] == u[b] * v[a]
-               for a in range(len(u)) for b in range(a + 1, len(u)))
+    """Every 2x2 minor of the two-row matrix with rows u and v is zero.
+
+    Against the first nonzero u[a], u[a]*v[b] == u[b]*v[a] for every b makes
+    v = (v[a]/u[a])*u, so every other minor vanishes too; a zero u has none.
+    """
+    for ua, va in zip(u, v):
+        if ua:
+            return all(ua * vb == ub * va for ub, vb in zip(u, v))
+    return True
+
+
+def _integral(coords) -> tuple[int, ...]:
+    """The coordinates times the lcm of their denominators: integers on the
+    same projective line."""
+    scale = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (scale // c.denominator) for c in coords)
 
 
 def projectively_equal(u, v) -> bool:
@@ -144,7 +167,7 @@ def first_violation(p: ModelPoint):
     """First nested pair (I, J) whose components fail the rank-one condition,
     or None when the point is on the model. Pairs are scanned in subset order,
     I first, then J."""
-    comps = p.components
+    comps = {subset: _integral(coords) for subset, coords in p.components.items()}
     for small, big, inner in _nested_pairs(p.n):
         v = comps[big]
         if not _minors_vanish(comps[small], tuple(v[k] for k in inner)):
@@ -158,10 +181,16 @@ def is_on_model(p: ModelPoint) -> bool:
 
 
 def orbit_of(p: ModelPoint) -> SubsetChain:
-    """Chain of vanishing loci: K_{l+1} collects the zero coordinates of the
-    K_l component, stopping at the first block with no zeros."""
+    """Orbit chain of a point, which must lie on the model."""
     if not is_on_model(p):
         raise ValueError("orbit classification needs a point on the model")
+    return _orbit(p)
+
+
+def _orbit(p: ModelPoint) -> SubsetChain:
+    """Chain of vanishing loci: K_{l+1} collects the zero coordinates of the
+    K_l component, stopping at the first block with no zeros. Membership is
+    not checked."""
     chain = [frozenset(range(1, p.n + 1))]
     while True:
         current = chain[-1]
@@ -324,7 +353,7 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
             components.append({"subset": list(sub), "ok": ok})
     sample = ModelPoint(n, sample_comps)
     on_model = is_on_model(sample)
-    in_orbit = on_model and orbit_of(sample) == coarse
+    in_orbit = on_model and _orbit(sample) == coarse
     return {
         "fine": [sorted(b) for b in fine],
         "coarse": [sorted(b) for b in coarse],
@@ -360,10 +389,17 @@ def random_permutation(n: int, rng) -> tuple[int, ...]:
     return tuple(perm)
 
 
+@lru_cache(maxsize=None)
+def _chains(n: int) -> tuple[SubsetChain, ...]:
+    """all_chains(n), enumerated once per n in its order, which the rng draws
+    of random_model_point index."""
+    return tuple(all_chains(n))
+
+
 def random_model_point(n: int, rng) -> ModelPoint:
     """A torus translate of a random orbit representative; exercises strata of
     every depth, not just the open orbit."""
-    chains = all_chains(n)
+    chains = _chains(n)
     chain = chains[rng.randrange(len(chains))]
     return torus_act(random_torus_element(n, rng), representative_point(chain))
 
@@ -382,16 +418,17 @@ def equivariance_report(n: int, trials: int, seed: int) -> dict:
         if not is_on_model(p):
             failures.append({"trial": trial, "property": "representative_on_model"})
             continue
+        orbit = _orbit(p)
         scaled = torus_act(random_torus_element(n, rng), p)
         if not is_on_model(scaled):
             failures.append({"trial": trial, "property": "torus_invariance"})
-        elif orbit_of(scaled) != orbit_of(p):
+        elif _orbit(scaled) != orbit:
             failures.append({"trial": trial, "property": "torus_orbit_stability"})
         w = random_permutation(n, rng)
         moved = permute_point(w, p)
         if not is_on_model(moved):
             failures.append({"trial": trial, "property": "permutation_invariance"})
-        elif orbit_of(moved) != permute_chain(w, orbit_of(p)):
+        elif _orbit(moved) != permute_chain(w, orbit):
             failures.append({"trial": trial, "property": "permutation_orbit_equivariance"})
     return {"n": n, "trials": trials, "seed": seed,
             "failures": failures, "ok": not failures}

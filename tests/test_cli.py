@@ -285,6 +285,21 @@ def test_model_check_point_obeys_ceiling(tmp_path, capsys, n):
     assert "limited to 7" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("coord", ["1e100000000", "1e-1000000"])
+def test_model_check_point_rejects_exponents(tmp_path, capsys, coord):
+    """An exponent is refused before Fraction would expand it digit by digit."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "components": [
+        {"subset": [1, 2], "coords": [coord, "1"]}]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "exponent" in json.loads(lines[0])["error"]
+    assert "Traceback" not in err
+
+
 def test_failed_invariance_reaches_the_report(monkeypatch, capsys):
     """A permuted point off the model is reported as a failure (exit 1), not
     passed on to orbit_of, which would raise and exit 2."""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -88,6 +90,73 @@ def test_orbit_classification_n3():
 def test_orbit_requires_membership():
     with pytest.raises(ValueError):
         orbit_of(point3((0, 0, 1), (1, 2), (1, 1), (0, 1)))
+
+
+def test_degeneration_requires_membership():
+    with pytest.raises(ValueError):
+        degeneration_witness(point3((0, 0, 1), (1, 2), (1, 1), (0, 1)))
+
+
+def _all_minors_violation(p):
+    """Oracle: every 2x2 minor of every nested pair in Fractions, pairs in
+    (size, lex) order of I, then of J."""
+    subsets = sorted(p.components, key=lambda s: (len(s), sorted(s)))
+    for small in subsets:
+        for big in subsets:
+            if len(small) < 2 or len(big) <= len(small) or not small <= big:
+                continue
+            u = p.components[small]
+            v = tuple(p.components[big][sorted(big).index(i)] for i in sorted(small))
+            if any(u[a] * v[b] != u[b] * v[a]
+                   for a in range(len(u)) for b in range(a + 1, len(u))):
+                return (sorted(small), sorted(big))
+    return None
+
+
+def _bent_copies(p, rng):
+    """The point with components rescaled by mixed-sign rationals, then with
+    one coordinate changed, set to zero and negated, one at a time."""
+    def scalar():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    scaled = {s: tuple(k * c for c in coords)
+              for s, coords in p.components.items() for k in [scalar()]}
+    out = [ModelPoint(p.n, scaled)]
+    for change in (lambda c: c + scalar(), lambda c: Fraction(0), lambda c: -c):
+        comps = dict(scaled)
+        subset = rng.choice(sorted((s for s in comps if len(s) > 1), key=sorted))
+        coords = list(comps[subset])
+        k = rng.randrange(len(coords))
+        coords[k] = change(coords[k])
+        if any(coords):
+            comps[subset] = tuple(coords)
+            out.append(ModelPoint(p.n, comps))
+    return out
+
+
+def test_first_violation_matches_all_minors_oracle():
+    rng = random.Random(11)
+    verdicts = set()
+    for n in range(2, 6):
+        for _ in range(30):
+            p = random_model_point(n, rng)
+            for q in [p] + _bent_copies(p, rng):
+                expected = _all_minors_violation(q)
+                assert first_violation(q) == expected
+                assert is_on_model(q) == (expected is None)
+                verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def test_random_draws_pinned():
+    """The digests hold the chain order behind random_model_point's draws."""
+    def sha(data):
+        return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+    assert sha(equivariance_report(5, 30, 1)) == (
+        "8d4e8ec115a0bb14d0e43f93bf2586fa69ecc51a0354a74208a06e0822375155")
+    assert sha([random_model_point(5, random.Random(s)).to_json() for s in range(20)]) == (
+        "8a66e512968314184a429257d7db01a5412691fb94db7b6c0f30998a08dd4eb5")
 
 
 def test_representative_round_trip():
@@ -222,6 +291,14 @@ def test_model_point_validation():
         ModelPoint(3, {FULL3: (1, 1, 1)})
     with pytest.raises(ValueError):
         ModelPoint(3, {frozenset({1, 4}): (1, 1)})
+
+
+def test_coordinate_strings():
+    p = point3(("-2", "1/3", "0.5"), (1, 2), ("0", 1), (0, 1))
+    assert p.component(FULL3) == (-2, Fraction(1, 3), Fraction(1, 2))
+    for bad in ("1e2", "1E-2", "2/0", "x"):
+        with pytest.raises(ValueError):
+            point3(("1", bad, "1"), (1, 2), (0, 1), (0, 1))
 
 
 def test_json_round_trip():
