@@ -10,26 +10,34 @@ component by component.
 
 The membership scan works in integers: each component is scaled once per scan
 by the lcm of its denominators, which leaves every minor's vanishing as it
-was, and each nested pair is compared against one pivot, the first nonzero
-entry of the smaller component. The guard lives on the public entry points:
-is_on_model is the check, and orbit_of and degeneration_witness raise
-ValueError off the model. _orbit is the bare vanishing recursion, only for
-callers that have already checked the point themselves.
+was, and each pair is compared against one pivot, the first nonzero entry of
+the smaller component. is_on_model scans only the cover pairs (J - {j}, J)
+with |J| >= 3, n*2^(n-1) - n^2 of them against O(3^n) nested pairs. That
+needs nonzero components, which the constructor enforces: with v_I != 0 a
+pair passes exactly when v_J restricted to I is c*v_I for some c, possibly 0,
+and these scalars multiply along a saturated chain I < ... < J, so every
+nested pair passes. first_violation scans every nested pair in subset order.
+
+The guard lives on the public entry points: is_on_model is the check, and
+orbit_of and degeneration_witness raise ValueError off the model. _orbit is
+the bare vanishing recursion, only for callers that have already checked.
 
 Every scan and serialization walks the nonempty subsets of [n] in one order,
 by size and then lexicographically, built once per n by _subsets.
+random_model_point draws an index into all_chains(n) and unranks it, so no
+chain is enumerated for a draw.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, lcm
+from itertools import combinations, islice
+from math import comb, factorial, lcm
 
 from .combinatorics import (
     SubsetChain,
-    all_chains,
+    ordered_bell,
     stirling2,
     validate_chain,
 )
@@ -53,6 +61,14 @@ def _nested_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]],
         for big in subsets if len(big) > len(small) and set(small) <= set(big))
 
 
+@lru_cache(maxsize=None)
+def _cover_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]], ...]:
+    """(J - {j}, J, positions of J - {j} inside J) for every |J| >= 3."""
+    return tuple(
+        (frozenset(big) - {j}, frozenset(big), tuple(k for k in range(len(big)) if k != pos))
+        for big in _subsets(n) if len(big) > 2 for pos, j in enumerate(big))
+
+
 class ModelPoint:
     """Projective coordinate tuples indexed by the nonempty subsets of [n].
 
@@ -66,16 +82,17 @@ class ModelPoint:
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
+        ground = frozenset(range(1, n + 1))
         comps: dict[frozenset, tuple[Fraction, ...]] = {}
         for subset, coords in components.items():
             subset = frozenset(subset)
-            if not subset or not subset <= frozenset(range(1, n + 1)):
+            if not subset or not subset <= ground:
                 raise ValueError(f"bad subset {sorted(subset)}")
             if any(isinstance(c, str) and "e" in c.lower() for c in coords):
                 raise ValueError(f"component {sorted(subset)} has a coordinate with an "
                                  "exponent; coordinates are exact rationals")
             try:
-                coords = tuple(Fraction(c) for c in coords)
+                coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
             except ZeroDivisionError:
                 raise ValueError("a coordinate has a zero denominator") from None
             if len(coords) != len(subset):
@@ -85,9 +102,9 @@ class ModelPoint:
             comps[subset] = coords
         for i in range(1, n + 1):
             comps.setdefault(frozenset([i]), (Fraction(1),))
-        for sub in _subsets(n):
-            if frozenset(sub) not in comps:
-                raise ValueError(f"missing component {list(sub)}")
+        if len(comps) < 2 ** n - 1:
+            missing = next(sub for sub in _subsets(n) if frozenset(sub) not in comps)
+            raise ValueError(f"missing component {list(missing)}")
         self.components = comps
 
     def component(self, subset) -> tuple[Fraction, ...]:
@@ -114,8 +131,9 @@ class ModelPoint:
     @staticmethod
     def from_json(data, max_n: int | None = None) -> "ModelPoint":
         """Point from the README's JSON shape. Another shape or an n above max_n
-        raises ValueError before any subset is built; ModelPoint rejects a zero
-        denominator or an exponent."""
+        raises ValueError before any subset is built. So does a subset listed
+        twice or not strictly increasing, rather than being dropped or read in
+        sorted order; ModelPoint rejects a zero denominator or an exponent."""
         data = data if isinstance(data, dict) else {}
         n, entries = data.get("n"), data.get("components")
         if type(n) is not int or not isinstance(entries, list) or not all(
@@ -124,7 +142,15 @@ class ModelPoint:
             raise ValueError('a point is {"n": int, "components": [{"subset", "coords"}, ...]}')
         if max_n is not None and n > max_n:
             raise ValueError(f"the point's n = {n} is limited to {max_n}")
-        return ModelPoint(n, {frozenset(e["subset"]): e["coords"] for e in entries})
+        comps = {}
+        for entry in entries:
+            sub = entry["subset"]
+            if any(a >= b for a, b in zip(sub, sub[1:])):
+                raise ValueError(f"subset {sub} is not strictly increasing")
+            if frozenset(sub) in comps:
+                raise ValueError(f"subset {sub} is listed twice")
+            comps[frozenset(sub)] = entry["coords"]
+        return ModelPoint(n, comps)
 
 
 def _list_of(value, types) -> bool:
@@ -163,21 +189,28 @@ def torus_embedding(coords) -> ModelPoint:
         (frozenset(range(1, len(coords) + 1)), frozenset())))
 
 
-def first_violation(p: ModelPoint):
-    """First nested pair (I, J) whose components fail the rank-one condition,
-    or None when the point is on the model. Pairs are scanned in subset order,
-    I first, then J."""
+def _first_failing(p: ModelPoint, pairs):
+    """First (I, J) of pairs, as sorted lists, whose components fail the
+    rank-one condition, or None."""
     comps = {subset: _integral(coords) for subset, coords in p.components.items()}
-    for small, big, inner in _nested_pairs(p.n):
+    for small, big, inner in pairs:
         v = comps[big]
         if not _minors_vanish(comps[small], tuple(v[k] for k in inner)):
             return (sorted(small), sorted(big))
     return None
 
 
+def first_violation(p: ModelPoint):
+    """First nested pair (I, J) whose components fail the rank-one condition,
+    or None when the point is on the model. Pairs are scanned in subset order,
+    I first, then J."""
+    return _first_failing(p, _nested_pairs(p.n))
+
+
 def is_on_model(p: ModelPoint) -> bool:
-    """Membership: all 2x2 minors of every nested component pair vanish."""
-    return first_violation(p) is None
+    """Membership: all 2x2 minors of every nested component pair vanish,
+    checked on the cover pairs alone (see the module docstring)."""
+    return _first_failing(p, _cover_pairs(p.n)) is None
 
 
 def orbit_of(p: ModelPoint) -> SubsetChain:
@@ -365,14 +398,18 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     }
 
 
+def _ordered(k: int, m: int) -> int:
+    """Chains from a k-set down to the empty set in m steps: m! * S(k, m)."""
+    return factorial(m) * stirling2(k, m)
+
+
 def euler_characteristic_cells(n: int) -> int:
     """Compactly supported Euler characteristic summed over orbits: the
     m! * S(n, m) chains with m+1 blocks each contribute (-2)^(n-m), one
     factor -2 per real 1-torus."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(factorial(m) * stirling2(n, m) * (-2) ** (n - m)
-               for m in range(1, n + 1))
+    return sum(_ordered(n, m) * (-2) ** (n - m) for m in range(1, n + 1))
 
 
 def random_torus_element(n: int, rng) -> tuple[Fraction, ...]:
@@ -389,18 +426,31 @@ def random_permutation(n: int, rng) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@lru_cache(maxsize=None)
-def _chains(n: int) -> tuple[SubsetChain, ...]:
-    """all_chains(n), enumerated once per n in its order, which the rng draws
-    of random_model_point index."""
-    return tuple(all_chains(n))
+def unrank_chain(n: int, r: int) -> SubsetChain:
+    """all_chains(n)[r] without enumerating it: the chains come by m, then
+    each next block by descending size, then lexicographically."""
+    if not 0 <= r < ordered_bell(n):
+        raise ValueError(f"chain index {r} out of range for n = {n}")
+    m = 1
+    while r >= _ordered(n, m):
+        r, m = r - _ordered(n, m), m + 1
+    elems = tuple(range(1, n + 1))
+    chain = [frozenset(elems)]
+    for steps in range(m - 1, 0, -1):
+        size = len(elems) - 1
+        while r >= comb(len(elems), size) * _ordered(size, steps):
+            r -= comb(len(elems), size) * _ordered(size, steps)
+            size -= 1
+        index, r = divmod(r, _ordered(size, steps))
+        elems = next(islice(combinations(elems, size), index, None))
+        chain.append(frozenset(elems))
+    return (*chain, frozenset())
 
 
 def random_model_point(n: int, rng) -> ModelPoint:
     """A torus translate of a random orbit representative; exercises strata of
     every depth, not just the open orbit."""
-    chains = _chains(n)
-    chain = chains[rng.randrange(len(chains))]
+    chain = unrank_chain(n, rng.randrange(ordered_bell(n)))
     return torus_act(random_torus_element(n, rng), representative_point(chain))
 
 

@@ -273,6 +273,23 @@ def test_model_check_malformed_point(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("components", [
+    README_POINT["components"] + [{"subset": [1, 2], "coords": ["1", "2"]}],
+    [README_POINT["components"][0], {"subset": [2, 1], "coords": ["2", "1"]},
+     *README_POINT["components"][2:]],
+], ids=["repeated-subset", "unsorted-subset"])
+def test_model_check_point_rejects_subset_order(tmp_path, capsys, components):
+    """A subset listed twice or out of order is refused, not silently
+    dropped or read in sorted order."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"n": 3, "components": components}))
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("n", [8, 10**7])
 def test_model_check_point_obeys_ceiling(tmp_path, capsys, n):
     """The point's n is checked before any subset of [n] is built."""

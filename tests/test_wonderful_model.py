@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from coxtoric import combinatorics, wonderful_model
 from coxtoric.cohomology import betti
 from coxtoric.combinatorics import all_chains, enumerate_chains
 from coxtoric.wonderful_model import (
@@ -27,6 +28,7 @@ from coxtoric.wonderful_model import (
     satisfies_closure_equations,
     torus_act,
     torus_embedding,
+    unrank_chain,
 )
 
 FULL3 = frozenset({1, 2, 3})
@@ -146,6 +148,52 @@ def test_first_violation_matches_all_minors_oracle():
                 assert is_on_model(q) == (expected is None)
                 verdicts.add(expected is None)
     assert verdicts == {True, False}
+
+
+def test_cover_pair_membership_matches_full_scan():
+    """is_on_model reads only the cover pairs; first_violation reads them all.
+    Bent copies change one coordinate of one component, keeping it nonzero."""
+    rng = random.Random(5)
+    bends = (lambda c: Fraction(0), lambda c: 2 * c, lambda c: c + 1)
+    verdicts = set()
+    for n in range(2, 7):
+        for _ in range(25):
+            p = random_model_point(n, rng)
+            points = [p]
+            for bend in bends:
+                comps = dict(p.components)
+                subset = rng.choice(sorted((s for s in comps if len(s) > 1), key=sorted))
+                coords = list(comps[subset])
+                k = rng.randrange(len(coords))
+                coords[k] = bend(coords[k])
+                if any(coords):
+                    comps[subset] = tuple(coords)
+                    points.append(ModelPoint(n, comps))
+            for q in points:
+                on_model = first_violation(q) is None
+                assert is_on_model(q) == on_model
+                verdicts.add(on_model)
+    assert verdicts == {True, False}
+
+
+def test_unrank_chain_matches_enumeration():
+    for n in range(1, 7):
+        chains = all_chains(n)
+        assert [unrank_chain(n, r) for r in range(len(chains))] == chains
+        for r in (-1, len(chains)):
+            with pytest.raises(ValueError):
+                unrank_chain(n, r)
+
+
+def test_random_model_point_enumerates_no_chain(monkeypatch):
+    def boom(*args):
+        raise AssertionError("chains enumerated")
+
+    for name in ("enumerate_chains", "all_chains"):
+        monkeypatch.setattr(combinatorics, name, boom)
+        monkeypatch.setattr(wonderful_model, name, boom, raising=False)
+    p = random_model_point(7, random.Random(0))
+    assert p.n == 7 and is_on_model(p)
 
 
 def test_random_draws_pinned():
