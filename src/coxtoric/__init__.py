@@ -15,15 +15,12 @@ from .combinatorics import (
     ordered_bell,
     partitions_of,
     secant_numbers,
-    zigzag_numbers,
 )
 from .rep_ring import (
     ClassFunction,
     RepSeries,
     SchurVector,
-    class_induction_product,
     decompose,
-    irreducible_character,
     irrep_dimension,
     omega,
     pieri_e,
@@ -37,12 +34,10 @@ from .poset_homology import (
     equivariant_top_character,
     homology_ranks,
     top_interval_representation,
-    verify_poset_series_identity,
     whitney_homology,
 )
 from .cohomology import (
     betti,
-    exponential_specialization,
     rep_via_induction,
     rep_via_poset,
     verify_cohomology_series,

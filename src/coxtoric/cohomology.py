@@ -111,44 +111,3 @@ def verify_cohomology_series(N: int = 8,
                              bound: int = DEFAULT_BRUTE_FORCE_BOUND) -> bool:
     """Degreewise equality in n and t of the poset and formula series."""
     return cohomology_series_poset(N, bound=bound) == cohomology_series_formula(N)
-
-
-def exponential_specialization(N: int = 8,
-                               bound: int = DEFAULT_BRUTE_FORCE_BOUND) -> list[dict]:
-    """Dimension specialization of the cohomology series, checked cell by cell
-    against the exact expansion of exp(x) * sech(t^(1/2) x), whose t^i x^n / n!
-    coefficient is (-1)^i A_{2i} C(n, 2i) = (-1)^i betti(n, i).
-
-    Returns one row per (n, i) with the series coefficient of t^i x^n / n!
-    from both routes and an ok flag.
-    """
-    series = cohomology_series_poset(N, bound=bound)
-    rows = []
-    for n in range(0, N + 1):
-        for i in range(0, n // 2 + 1):
-            vec = series.term(n, i)
-            actual = vec.dimension()
-            expected = (-1) ** i * betti(n, i)
-            rows.append({
-                "n": n,
-                "i": i,
-                "coefficient": actual,
-                "expected": expected,
-                "ok": actual == expected,
-            })
-    return rows
-
-
-def cohomology_table(n: int, route: str = "induction",
-                     bound: int = DEFAULT_BRUTE_FORCE_BOUND) -> list[dict]:
-    """Rows (n, i, betti, representation) for 0 <= i <= n/2."""
-    if route not in ("induction", "poset"):
-        raise ValueError(f"unknown route {route!r}")
-    rows = []
-    for i in range(0, n // 2 + 1):
-        if route == "induction":
-            rep = rep_via_induction(n, i)
-        else:
-            rep = rep_via_poset(n, i, bound=bound)
-        rows.append({"n": n, "i": i, "betti": betti(n, i), "rep": rep})
-    return rows

@@ -8,10 +8,9 @@ positive integers, ordered reverse-lexicographically everywhere.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 Partition = tuple[int, ...]
 SubsetChain = tuple[frozenset, ...]
@@ -56,41 +55,19 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def secant_numbers(max_index: int) -> list[int]:
-    """Secant numbers A_0, A_2, ..., A_{max_index} via exact division 1/cos(x).
+    """Secant numbers A_0, A_2, ..., A_{max_index}: 1, 1, 5, 61, 1385, ...
 
-    A_{2k} is (2k)! times the x^{2k} coefficient of sec(x): 1, 1, 5, 61, 1385, ...
+    A_{2k} is (2k)! times the x^{2k} coefficient of sec(x). Comparing the
+    x^{2k} coefficients of sec(x) * cos(x) = 1 gives the integer recurrence
+    A_{2k} = sum over j = 1..k of (-1)^(j+1) C(2k, 2j) A_{2k-2j}.
     """
     if max_index < 0 or max_index % 2:
         raise ValueError("max_index must be even and nonnegative")
-    half = max_index // 2
-    cos = [Fraction((-1) ** j, factorial(2 * j)) for j in range(half + 1)]
-    sec = [Fraction(1)]
-    for k in range(1, half + 1):
-        sec.append(-sum(cos[j] * sec[k - j] for j in range(1, k + 1)))
-    out = []
-    for k, coeff in enumerate(sec):
-        value = coeff * factorial(2 * k)
-        assert value.denominator == 1
-        out.append(int(value))
+    out = [1]
+    for k in range(1, max_index // 2 + 1):
+        out.append(sum((-1) ** (j + 1) * comb(2 * k, 2 * j) * out[k - j]
+                       for j in range(1, k + 1)))
     return out
-
-
-def zigzag_numbers(max_index: int) -> list[int]:
-    """Zigzag numbers 1, 1, 1, 2, 5, 16, 61, ... by the boustrophedon recurrence.
-
-    Independent of the series route: the even-index entries are the secant
-    numbers, the odd-index entries the tangent numbers.
-    """
-    if max_index < 0:
-        raise ValueError("max_index must be nonnegative")
-    rows = [[1]]
-    for n in range(1, max_index + 1):
-        prev = rows[-1]
-        row = [0]
-        for k in range(1, n + 1):
-            row.append(row[k - 1] + prev[n - k])
-        rows.append(row)
-    return [rows[n][n] for n in range(max_index + 1)]
 
 
 def enumerate_chains(n: int, m: int) -> list[SubsetChain]:
@@ -169,35 +146,8 @@ def cycle_type_representative(mu: Partition) -> tuple[int, ...]:
     return tuple(images)
 
 
-def permutation_cycle_type(w: tuple[int, ...]) -> Partition:
-    n = len(w)
-    seen = [False] * (n + 1)
-    lengths = []
-    for i in range(1, n + 1):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = w[j - 1]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def apply_permutation(w: tuple[int, ...], subset: frozenset) -> frozenset:
     return frozenset(w[i - 1] for i in subset)
-
-
-def chain_to_json(chain: SubsetChain) -> list[list[int]]:
-    return [sorted(block) for block in chain]
-
-
-def chain_from_json(data) -> SubsetChain:
-    chain = tuple(frozenset(block) for block in data)
-    validate_chain(chain)
-    return chain
 
 
 def validate_chain(chain: SubsetChain) -> None:

@@ -85,26 +85,12 @@ def cup_span_dimension(n: int) -> int:
     return len(seen)
 
 
-def permute_degree_one(w, pair) -> tuple[tuple[int, int], int]:
-    """Relabelling action on a degree-one class, in normal form."""
-    i, j = pair
-    return degree_one_class(w[i - 1], w[j - 1])
-
-
 def permute_basis_key(w, key) -> tuple[tuple, int]:
     """Action on a product basis element; the result is again a basis element
     together with the accumulated sign (factor signs and anticommutation)."""
     (a, b), (c, d) = key
     [(new_key, sign)] = cup_reduce((w[a - 1], w[b - 1]), (w[c - 1], w[d - 1])).items()
     return new_key, int(sign)
-
-
-def act_on_degree_two(w, terms: dict) -> dict:
-    out: dict = {}
-    for key, coeff in terms.items():
-        new_key, sign = permute_basis_key(w, key)
-        out[new_key] = out.get(new_key, Fraction(0)) + sign * coeff
-    return {k: v for k, v in out.items() if v}
 
 
 def _signed_permutation_character(n: int) -> ClassFunction:

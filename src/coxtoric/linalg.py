@@ -95,15 +95,3 @@ def _reduce_content(row):
     if g > 1:
         for c in row:
             row[c] //= g
-
-
-def boundary_product_is_zero(cols_d, cols_dm1) -> bool:
-    """Check that composing two boundary maps (given as column dicts) is zero."""
-    for col in cols_d:
-        acc: dict[int, int] = {}
-        for mid, v in col.items():
-            for low, w in cols_dm1[mid].items():
-                acc[low] = acc.get(low, 0) + v * w
-        if any(acc.values()):
-            return False
-    return True

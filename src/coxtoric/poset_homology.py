@@ -93,10 +93,6 @@ class IntervalComplex:
             cols.append(col)
         return cols
 
-    def euler_characteristic(self) -> int:
-        """Reduced Euler characteristic (the empty chain counts in degree -1)."""
-        return sum((-1) ** d * self.simplex_count(d) for d in self.dimensions())
-
 
 def build_interval_complex(top_size: int) -> IntervalComplex:
     return IntervalComplex(top_size)
@@ -195,11 +191,3 @@ def poset_series_sides(N: int):
     inv = series.invert()
     rhs = {n: inv.term(n, 0) for n in range(0, N + 1) if not inv.term(n, 0).is_zero()}
     return lhs, rhs
-
-
-def verify_poset_series_identity(N: int) -> bool:
-    """Degreewise equality of the two sides of the inverse-series identity."""
-    lhs, rhs = poset_series_sides(N)
-    keys = set(lhs) | set(rhs)
-    return all(lhs.get(k, SchurVector.zero(k)) == rhs.get(k, SchurVector.zero(k))
-               for k in keys)

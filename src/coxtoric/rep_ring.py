@@ -12,16 +12,15 @@ all the series identities here need.
 
 Every sum of coefficients by key goes through _summed. Coefficients become
 Fractions only in the validating constructor shared by SchurVector and
-ClassFunction, in scale, decompose and from_json; the rest combines them.
+ClassFunction, in scale and in decompose; the rest combines them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, factorial
+from math import factorial
 
 from .combinatorics import (
     Partition,
@@ -111,13 +110,6 @@ class SchurVector:
         scalar = Fraction(scalar)
         return SchurVector(self.n, {lam: scalar * c for lam, c in self.coeffs.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, SchurVector):
-            return schur_multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SchurVector)
                 and self.n == other.n and self.coeffs == other.coeffs)
@@ -130,18 +122,6 @@ class SchurVector:
             name = "s[" + ",".join(map(str, lam)) + "]"
             bits.append(f"{c}*{name}" if c != 1 else name)
         return " + ".join(bits).replace("+ -", "- ")
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"partition": list(lam), "numerator": c.numerator, "denominator": c.denominator}
-            for lam, c in self.items()
-        ]
-
-    @staticmethod
-    def from_json(n: int, data) -> "SchurVector":
-        return SchurVector(n, {
-            tuple(entry["partition"]): Fraction(entry["numerator"], entry.get("denominator", 1))
-            for entry in data})
 
 
 @lru_cache(maxsize=None)
@@ -254,16 +234,6 @@ def _mn_value(lam: Partition, mu: Partition) -> int:
     return sum((-1) ** h * _mn_value(nu, rest) for nu, h in _border_strips(lam, r))
 
 
-def irreducible_character(lam: Partition, mu: Partition) -> int:
-    """Character value of the irreducible for lam on the class of cycle type mu,
-    by the Murnaghan-Nakayama recursion."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("lam and mu must partition the same n")
-    return _mn_value(lam, mu)
-
-
 @lru_cache(maxsize=None)
 def character_table(n: int) -> dict[Partition, dict[Partition, int]]:
     parts = partitions_of(n)
@@ -322,42 +292,6 @@ def decompose(f: ClassFunction) -> SchurVector:
         lam: sum((fv * table[lam][mu] / class_data(mu)[0] for mu, fv in f.values.items()),
                  Fraction(0))
         for lam in partitions_of(f.n)})
-
-
-def class_induction_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    """Induction product on the character side, by splitting cycle types.
-
-    The value on mu is a sum over sub-multisets nu of mu of the right degree,
-    weighted by products of binomials in the part multiplicities. Serves as an
-    oracle that never touches Pieri strips.
-    """
-    n = f.n + g.n
-    values: dict[Partition, Fraction] = {}
-    for mu in partitions_of(n):
-        mult = Counter(mu)
-        parts = sorted(mult)
-        total = Fraction(0)
-
-        def rec(idx, remaining, chosen, weight):
-            nonlocal total
-            if idx == len(parts):
-                if remaining == 0:
-                    nu = tuple(sorted(chosen, reverse=True))
-                    kappa_counter = mult - Counter(chosen)
-                    kappa = tuple(sorted(kappa_counter.elements(), reverse=True))
-                    fv = f(nu)
-                    gv = g(kappa)
-                    if fv and gv:
-                        total += weight * fv * gv
-                return
-            p = parts[idx]
-            for j in range(min(mult[p], remaining // p) + 1):
-                rec(idx + 1, remaining - p * j, chosen + [p] * j,
-                    weight * comb(mult[p], j))
-
-        rec(0, f.n, [], Fraction(1))
-        values[mu] = total
-    return ClassFunction(n, values)
 
 
 @lru_cache(maxsize=None)
@@ -425,9 +359,6 @@ class RepSeries:
     def add_term(self, n: int, tpow: int, vec: SchurVector) -> None:
         self.set_term(n, tpow, self.term(n, tpow) + vec)
 
-    def cells(self):
-        return sorted(self.terms.items())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RepSeries)
                 and self.truncation == other.truncation
@@ -459,15 +390,4 @@ class RepSeries:
                     if k == n - m:
                         inv.add_term(n, tpow_a + tpow_b, -schur_multiply(vec_a, vec_b))
         return inv
-
-    def substitute_t(self) -> dict[int, SchurVector]:
-        """Collapse t -> 1: degree n -> sum of all t-power cells."""
-        out = _summed((n, vec) for (n, _), vec in self.terms.items())
-        return {n: v for n, v in out.items() if not v.is_zero()}
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"n": n, "t_power": tpow, "schur_vector": vec.to_json()}
-            for (n, tpow), vec in self.cells()
-        ]
 

@@ -334,25 +334,6 @@ def closure_refinement(chain_a: SubsetChain, chain_b: SubsetChain) -> bool:
     return set(chain_b) <= set(chain_a)
 
 
-def satisfies_closure_equations(p: ModelPoint, chain: SubsetChain) -> bool:
-    """Closed conditions holding identically on the orbit of the chain.
-
-    For every nonempty I, with K_s the last chain block containing I, the
-    I-component must vanish on I intersected with K_{s+1}. Restricting I to
-    the chain blocks themselves is not enough: the conditions induced on the
-    other components are what separate same-dimension strata.
-    """
-    validate_chain(chain)
-    if len(chain[0]) != p.n:
-        raise ValueError("chain and point sizes differ")
-    for subset, coords in p.components.items():
-        nxt = chain[_stage(chain, subset) + 1]
-        for k, coord in zip(sorted(subset), coords):
-            if k in nxt and coord != 0:
-                return False
-    return True
-
-
 def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     """Explicit curve inside the coarse orbit whose limit is the canonical
     point of the refining chain.

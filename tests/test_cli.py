@@ -43,6 +43,17 @@ def test_single_row_selection(capsys):
     assert len(rows) == 1 and rows[0]["betti"] == 61
 
 
+def test_poset_row_needs_only_its_interval(capsys):
+    """Row 1 at n = 12 needs interval size 2, inside the default bound 8,
+    although rows 5 and 6 of the same n would need 10 and 12."""
+    code, out, err = run_cli(capsys, "rep-table", "--n", "12", "--route", "poset", "--i", "1")
+    assert code == 0 and err == ""
+    [row] = json.loads(out)["rows"]
+    assert (row["i"], row["betti"]) == (1, 66)
+    code, out, err = run_cli(capsys, "rep-table", "--n", "12", "--route", "poset", "--i", "5")
+    assert code == 2 and out == "" and "bound" in json.loads(err)["error"]
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "rep-table", "--n", "5")
     _, second, _ = run_cli(capsys, "rep-table", "--n", "5")

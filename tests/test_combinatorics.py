@@ -4,20 +4,18 @@ import pytest
 
 from coxtoric.combinatorics import (
     all_chains,
-    chain_from_json,
-    chain_to_json,
     class_data,
     conjugate,
     cycle_type_representative,
     enumerate_chains,
     ordered_bell,
     partitions_of,
-    permutation_cycle_type,
     secant_numbers,
     stirling2,
     validate_chain,
-    zigzag_numbers,
 )
+
+from oracles import permutation_cycle_type, zigzag_numbers
 
 
 def brute_force_partitions(n):
@@ -68,9 +66,9 @@ def test_secant_numbers():
 
 
 def test_secant_matches_zigzag_recurrence():
-    zig = zigzag_numbers(12)
-    sec = secant_numbers(12)
-    assert sec == [zig[2 * i] for i in range(7)]
+    zig = zigzag_numbers(300)
+    sec = secant_numbers(300)
+    assert sec == [zig[2 * i] for i in range(151)]
     assert zig[:6] == [1, 1, 1, 2, 5, 16]
 
 
@@ -123,10 +121,3 @@ def test_cycle_type_representative():
             w = cycle_type_representative(mu)
             assert sorted(w) == list(range(1, n + 1))
             assert permutation_cycle_type(w) == mu
-
-
-def test_chain_json_round_trip():
-    for chain in enumerate_chains(3, 2):
-        data = chain_to_json(chain)
-        assert chain_from_json(data) == chain
-        assert data[0] == [1, 2, 3] and data[-1] == []

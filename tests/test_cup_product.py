@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from coxtoric.cup_product import (
-    act_on_degree_two,
     basis_keys,
     branching_certificate,
     branching_infeasibility,
@@ -16,11 +15,12 @@ from coxtoric.cup_product import (
     cup_span_representation,
     degree_one_class,
     permute_basis_key,
-    permute_degree_one,
     _signed_permutation_character,
 )
 from coxtoric.combinatorics import cycle_type_representative, partitions_of
 from coxtoric.rep_ring import ClassFunction, SchurVector, restrict
+
+from oracles import act_on_degree_two, permute_degree_one
 
 S = SchurVector
 

@@ -15,7 +15,7 @@ from coxtoric.combinatorics import (
     cycle_type_representative,
     partitions_of,
 )
-from coxtoric.linalg import boundary_product_is_zero, sparse_rank
+from coxtoric.linalg import sparse_rank
 from coxtoric.poset_homology import (
     IntervalComplex,
     build_interval_complex,
@@ -24,10 +24,15 @@ from coxtoric.poset_homology import (
     homology_ranks,
     poset_series_sides,
     top_interval_representation,
-    verify_poset_series_identity,
     whitney_homology,
 )
 from coxtoric.rep_ring import RepSeries, SchurVector, pieri_h
+
+from oracles import (
+    boundary_product_is_zero,
+    euler_characteristic,
+    verify_poset_series_identity,
+)
 
 S = SchurVector
 
@@ -141,7 +146,7 @@ def test_euler_characteristic_matches_homology():
         cx = build_interval_complex(size)
         ranks = homology_ranks(size)
         alternating = sum((-1) ** (m - 2) * r for m, r in ranks.items())
-        assert cx.euler_characteristic() == alternating
+        assert euler_characteristic(cx) == alternating
 
 
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])

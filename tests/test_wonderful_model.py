@@ -25,11 +25,12 @@ from coxtoric.wonderful_model import (
     random_model_point,
     random_torus_element,
     representative_point,
-    satisfies_closure_equations,
     torus_act,
     torus_embedding,
     unrank_chain,
 )
+
+from oracles import satisfies_closure_equations
 
 FULL3 = frozenset({1, 2, 3})
 
