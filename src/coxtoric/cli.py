@@ -209,7 +209,7 @@ def cmd_poset_homology(config) -> int:
         "n": n,
         "ranks": {str(m): ranks[m] for m in sorted(ranks)},
         "character": {
-            ",".join(map(str, mu)): int(char(mu))
+            ",".join(map(str, mu)): char(mu)
             for mu in partitions_of(n)
         },
         "concentrated": poset_homology.cm_concentration_check(n),
@@ -281,7 +281,7 @@ def cmd_cup_rep(config) -> int:
     payload = {
         "command": "cup-rep", "n": config.n,
         "multiplicities": _rep_to_multiplicities(rep),
-        "dimension": int(rep.dimension()),
+        "dimension": rep.dimension(),
         "character_cross_checked": checked,
     }
     _emit(payload, None, config)
@@ -304,9 +304,9 @@ def cmd_whitney(config) -> int:
     for i in range(n // 2 + 1):
         vec = poset_homology.whitney_homology(n, i)
         total = total + vec.scale((-1) ** i)
-        rows.append({"n": n, "i": i, "dimension": int(vec.dimension()),
+        rows.append({"n": n, "i": i, "dimension": vec.dimension(),
                      "rep": _rep_compact(vec)})
-        json_rows.append({"n": n, "i": i, "dimension": int(vec.dimension()),
+        json_rows.append({"n": n, "i": i, "dimension": vec.dimension(),
                           "multiplicities": _rep_to_multiplicities(vec)})
     claimed = n >= 2 and n % 2 == 0  # the sum vanishes only for even n >= 2
     payload = {"command": "whitney", "n": n, "rows": json_rows,

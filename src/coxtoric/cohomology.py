@@ -30,18 +30,13 @@ from .rep_ring import RepSeries, SchurVector, omega, pieri_e, pieri_h
 FORMULA_DEGREE_LIMIT = 12
 
 
-@lru_cache(maxsize=None)
-def _secant(index: int) -> int:
-    return secant_numbers(index)[-1]
-
-
 def betti(n: int, i: int) -> int:
     """dim H^i for the n-th variety: A_{2i} * C(n, 2i)."""
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
     if 2 * i > n:
         return 0
-    return _secant(2 * i) * comb(n, 2 * i)
+    return secant_numbers(2 * i)[-1] * comb(n, 2 * i)
 
 
 @lru_cache(maxsize=None)

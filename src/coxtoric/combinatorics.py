@@ -54,6 +54,9 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
+_SECANTS = [1]  # A_0, A_2, ...: secant_numbers extends it, each computed once
+
+
 def secant_numbers(max_index: int) -> list[int]:
     """Secant numbers A_0, A_2, ..., A_{max_index}: 1, 1, 5, 61, 1385, ...
 
@@ -63,11 +66,10 @@ def secant_numbers(max_index: int) -> list[int]:
     """
     if max_index < 0 or max_index % 2:
         raise ValueError("max_index must be even and nonnegative")
-    out = [1]
-    for k in range(1, max_index // 2 + 1):
-        out.append(sum((-1) ** (j + 1) * comb(2 * k, 2 * j) * out[k - j]
-                       for j in range(1, k + 1)))
-    return out
+    for k in range(len(_SECANTS), max_index // 2 + 1):
+        _SECANTS.append(sum((-1) ** (j + 1) * comb(2 * k, 2 * j) * _SECANTS[k - j]
+                            for j in range(1, k + 1)))
+    return _SECANTS[:max_index // 2 + 1]
 
 
 def enumerate_chains(n: int, m: int) -> list[SubsetChain]:

@@ -23,7 +23,6 @@ support; every other partition is forced to 0 and left out of the search.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
 
@@ -42,9 +41,9 @@ def degree_one_class(i: int, j: int) -> tuple[tuple[int, int], int]:
 def cup_reduce(first, second):
     """Product of two degree-one classes in normal form.
 
-    Returns a dict mapping a basis key ((a,b),(c,d)) with a<b, c<d, a<c to a
-    rational coefficient; shared indices (squares included) give the empty
-    dict, and swapping the two factors into canonical order costs a sign.
+    Returns a dict mapping a basis key ((a,b),(c,d)) with a<b, c<d, a<c to
+    the int coefficient 1 or -1; shared indices (squares included) give the
+    empty dict, and swapping the two factors into canonical order costs a sign.
     """
     (p1, s1) = degree_one_class(*first)
     (p2, s2) = degree_one_class(*second)
@@ -54,7 +53,7 @@ def cup_reduce(first, second):
     if p1 > p2:
         p1, p2 = p2, p1
         sign = -sign
-    return {(p1, p2): Fraction(sign)}
+    return {(p1, p2): sign}
 
 
 def _pairings(i: int, j: int, k: int, l: int) -> tuple:
@@ -90,7 +89,7 @@ def permute_basis_key(w, key) -> tuple[tuple, int]:
     together with the accumulated sign (factor signs and anticommutation)."""
     (a, b), (c, d) = key
     [(new_key, sign)] = cup_reduce((w[a - 1], w[b - 1]), (w[c - 1], w[d - 1])).items()
-    return new_key, int(sign)
+    return new_key, sign
 
 
 def _signed_permutation_character(n: int) -> ClassFunction:
@@ -107,7 +106,7 @@ def _signed_permutation_character(n: int) -> ClassFunction:
         for key in keys:
             image, sign = permute_basis_key(w, key)
             trace += sign if image == key else 0
-        values[mu] = Fraction(trace)
+        values[mu] = trace
     return ClassFunction(n, values)
 
 

@@ -27,7 +27,6 @@ by every Whitney degree and series term); the complex is not kept.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -136,14 +135,14 @@ def equivariant_top_character(n: int) -> ClassFunction:
     if n < 0 or n % 2:
         raise ValueError("n must be even and nonnegative")
     if n == 0:
-        return ClassFunction(0, {(): Fraction(1)})
+        return ClassFunction(0, {(): 1})
     if not cm_concentration_check(n):
         raise ArithmeticError(
             f"homology below [{n}] is not concentrated in degree {n // 2}; "
             "the fixed-chain trace does not apply")
     sign_top = (-1) ** (n // 2)
     elements = _elements(n)
-    values: dict[tuple, Fraction] = {}
+    values: dict[tuple, int] = {}
     for mu in partitions_of(n):
         w = cycle_type_representative(mu)
         fixed = [e for e in elements if apply_permutation(w, e) == e]
@@ -153,7 +152,7 @@ def equivariant_top_character(n: int) -> ClassFunction:
         for j, e in enumerate(fixed):
             topped.append(1 - sum(t for f, t in zip(fixed[:j], topped) if f < e))
         lefschetz = sum(topped) - 1  # the empty chain sits in degree -1
-        values[mu] = Fraction(sign_top * lefschetz)
+        values[mu] = sign_top * lefschetz
     return ClassFunction(n, values)
 
 

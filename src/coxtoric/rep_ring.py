@@ -10,9 +10,10 @@ the test suite exploits as an oracle.
 RepSeries adjoins a polynomial variable t and truncates total degree, which is
 all the series identities here need.
 
-Every sum of coefficients by key goes through _summed. Coefficients become
-Fractions only in the validating constructor shared by SchurVector and
-ClassFunction, in scale and in decompose; the rest combines them.
+Every sum of coefficients by key goes through _summed. A value is an int unless
+a division or an input makes it rational: _exact, the one division (by n! in
+decompose and inner), returns an int when the quotient is whole, and the
+validating constructor keeps ints and Fractions and reads the rest as Fractions.
 """
 
 from __future__ import annotations
@@ -40,14 +41,21 @@ def _summed(pairs) -> dict:
     return out
 
 
-def _validated(n: int, entries, kind: str) -> dict[Partition, Fraction]:
-    """Nonzero Fractions keyed by partitions of n; a bad key is named as kind."""
-    clean: dict[Partition, Fraction] = {}
+def _exact(num, den: int):
+    """num / den as an int when den divides num, else as a Fraction."""
+    quotient, remainder = divmod(num, den)
+    return Fraction(num, den) if remainder else quotient
+
+
+def _validated(n: int, entries, kind: str) -> dict:
+    """Nonzero ints and Fractions keyed by partitions of n; kind names a bad key."""
+    clean = {}
     for lam, c in (entries or {}).items():
         lam = check_partition(lam)
         if sum(lam) != n:
             raise ValueError(f"{kind} {lam} does not have degree {n}")
-        c = Fraction(c)
+        if type(c) not in (int, Fraction):
+            c = Fraction(c)
         if c:
             clean[lam] = c
     return clean
@@ -90,9 +98,8 @@ class SchurVector:
         """Coefficients in reverse-lexicographic partition order."""
         return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
 
-    def dimension(self) -> Fraction:
-        return sum((c * irrep_dimension(lam) for lam, c in self.coeffs.items()),
-                   Fraction(0))
+    def dimension(self):
+        return sum(c * irrep_dimension(lam) for lam, c in self.coeffs.items())
 
     def __add__(self, other: "SchurVector") -> "SchurVector":
         if self.n != other.n:
@@ -107,7 +114,6 @@ class SchurVector:
         return SchurVector(self.n, {lam: -c for lam, c in self.coeffs.items()})
 
     def scale(self, scalar) -> "SchurVector":
-        scalar = Fraction(scalar)
         return SchurVector(self.n, {lam: scalar * c for lam, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
@@ -257,14 +263,14 @@ class ClassFunction:
     def sign(n: int) -> "ClassFunction":
         return ClassFunction(n, {mu: (-1) ** (n - len(mu)) for mu in partitions_of(n)})
 
-    def __call__(self, mu: Partition) -> Fraction:
-        return self.values.get(tuple(mu), Fraction(0))
+    def __call__(self, mu: Partition):
+        return self.values.get(tuple(mu), 0)
 
-    def inner(self, other: "ClassFunction") -> Fraction:
+    def inner(self, other: "ClassFunction"):
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        return sum((self(mu) * other(mu) / class_data(mu)[0]
-                    for mu in partitions_of(self.n)), Fraction(0))
+        return _exact(sum(self(mu) * other(mu) * class_data(mu)[1]
+                          for mu in partitions_of(self.n)), factorial(self.n))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)
@@ -280,7 +286,7 @@ def to_class_function(v: SchurVector) -> ClassFunction:
     Murnaghan-Nakayama value over v's own constituents only, so a vector with
     few constituents never builds the full character table."""
     return ClassFunction(v.n, {
-        mu: sum((c * _mn_value(lam, mu) for lam, c in v.coeffs.items()), Fraction(0))
+        mu: sum(c * _mn_value(lam, mu) for lam, c in v.coeffs.items())
         for mu in partitions_of(v.n)})
 
 
@@ -288,9 +294,9 @@ def decompose(f: ClassFunction) -> SchurVector:
     """Inverse of to_class_function; multiplicities may be non-integral rationals
     when f is not in the virtual character lattice."""
     table = character_table(f.n)
+    weighted = [(mu, fv * class_data(mu)[1]) for mu, fv in f.values.items()]
     return SchurVector(f.n, {
-        lam: sum((fv * table[lam][mu] / class_data(mu)[0] for mu, fv in f.values.items()),
-                 Fraction(0))
+        lam: _exact(sum(w * table[lam][mu] for mu, w in weighted), factorial(f.n))
         for lam in partitions_of(f.n)})
 
 
@@ -301,7 +307,7 @@ def h_expansion(lam: Partition):
     vec = SchurVector.unit()
     for part in lam:
         vec = pieri_h(vec, part)
-    out = _summed(chain([(lam, Fraction(1))], (
+    out = _summed(chain([(lam, 1)], (
         (nu, -kostka * c) for mu, kostka in vec.coeffs.items() if mu != lam
         for nu, c in h_expansion(mu))))
     return tuple(sorted((k, v) for k, v in out.items() if v))

@@ -1,7 +1,8 @@
 """Concrete geometry of the compactified torus inside a product of projective
 spaces indexed by nonempty subsets of [n].
 
-A point carries one projective tuple of exact rationals per nonempty subset I;
+A point carries one projective tuple of exact rationals per nonempty subset I,
+each an int unless its input or a torus factor is a string or a Fraction;
 membership is the rank-one compatibility of every nested pair of components.
 The vanishing recursion sorts points into torus orbits labelled by strict
 subset chains, and each point admits an explicit one-parameter degeneration
@@ -83,7 +84,7 @@ class ModelPoint:
             raise ValueError("n must be positive")
         self.n = n
         ground = frozenset(range(1, n + 1))
-        comps: dict[frozenset, tuple[Fraction, ...]] = {}
+        comps: dict[frozenset, tuple] = {}
         for subset, coords in components.items():
             subset = frozenset(subset)
             if not subset or not subset <= ground:
@@ -92,7 +93,7 @@ class ModelPoint:
                 raise ValueError(f"component {sorted(subset)} has a coordinate with an "
                                  "exponent; coordinates are exact rationals")
             try:
-                coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+                coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coords)
             except ZeroDivisionError:
                 raise ValueError("a coordinate has a zero denominator") from None
             if len(coords) != len(subset):
@@ -101,16 +102,16 @@ class ModelPoint:
                 raise ValueError(f"component {sorted(subset)} is identically zero")
             comps[subset] = coords
         for i in range(1, n + 1):
-            comps.setdefault(frozenset([i]), (Fraction(1),))
+            comps.setdefault(frozenset([i]), (1,))
         if len(comps) < 2 ** n - 1:
             missing = next(sub for sub in _subsets(n) if frozenset(sub) not in comps)
             raise ValueError(f"missing component {list(missing)}")
         self.components = comps
 
-    def component(self, subset) -> tuple[Fraction, ...]:
+    def component(self, subset) -> tuple:
         return self.components[frozenset(subset)]
 
-    def coordinate(self, subset, i: int) -> Fraction:
+    def coordinate(self, subset, i: int):
         subset = sorted(frozenset(subset))
         return self.components[frozenset(subset)][subset.index(i)]
 
@@ -243,7 +244,7 @@ def representative_point(chain: SubsetChain) -> ModelPoint:
     for sub in _subsets(n):
         s = frozenset(sub)
         nxt = chain[_stage(chain, s) + 1]
-        comps[s] = tuple(Fraction(0) if i in nxt else Fraction(1) for i in sub)
+        comps[s] = tuple(0 if i in nxt else 1 for i in sub)
     return ModelPoint(n, comps)
 
 
@@ -252,12 +253,11 @@ def _stage(chain: SubsetChain, subset: frozenset) -> int:
     return max(idx for idx, K in enumerate(chain[:-1]) if subset <= K)
 
 
-def _limit(sub, terms) -> tuple[Fraction, ...]:
+def _limit(sub, terms) -> tuple:
     """Limit at t = 0 of the curve i -> coeff * t^power on sub, where terms[i]
     is (coeff, power), over its lowest power; indices without a term are 0."""
     low = min(terms[i][1] for i in sub if i in terms)
-    return tuple(terms[i][0] if i in terms and terms[i][1] == low else Fraction(0)
-                 for i in sub)
+    return tuple(terms[i][0] if i in terms and terms[i][1] == low else 0 for i in sub)
 
 
 def degeneration_witness(p: ModelPoint) -> dict:
@@ -271,7 +271,7 @@ def degeneration_witness(p: ModelPoint) -> dict:
     """
     chain = orbit_of(p)
     blocks = chain[:-1]
-    entries: dict[int, tuple[Fraction, int]] = {}
+    entries: dict[int, tuple] = {}
     for s, K in enumerate(blocks):
         for i in sorted(K - chain[s + 1]):
             entries[i] = (p.coordinate(K, i), s + 1)
@@ -300,13 +300,12 @@ def degeneration_witness(p: ModelPoint) -> dict:
 
 def torus_act(t, p: ModelPoint) -> ModelPoint:
     """Coordinatewise scaling of every component by the torus element t."""
-    t = tuple(Fraction(c) for c in t)
+    t = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in t)
     if len(t) != p.n or any(c == 0 for c in t):
         raise ValueError("torus element must have n nonzero entries")
-    comps = {}
-    for subset, coords in p.components.items():
-        comps[subset] = tuple(t[i - 1] * c for i, c in zip(sorted(subset), coords))
-    return ModelPoint(p.n, comps)
+    return ModelPoint(p.n, {
+        subset: tuple(t[i - 1] * c if c else c for i, c in zip(sorted(subset), coords))
+        for subset, coords in p.components.items()})
 
 
 def permute_point(w, p: ModelPoint) -> ModelPoint:
@@ -358,9 +357,8 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     for sub in _subsets(n):
         s = frozenset(sub)
         nxt = coarse[_stage(coarse, s) + 1]
-        terms = {i: (Fraction(1), fine_stage[i]) for i in sub if i not in nxt}
-        sample_comps[s] = tuple(
-            t0 ** terms[i][1] if i in terms else Fraction(0) for i in sub)
+        terms = {i: (1, fine_stage[i]) for i in sub if i not in nxt}
+        sample_comps[s] = tuple(t0 ** terms[i][1] if i in terms else 0 for i in sub)
         ok = projectively_equal(_limit(sub, terms), target.components[s])
         limit_ok = limit_ok and ok
         if len(sub) > 1:

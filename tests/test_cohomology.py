@@ -73,11 +73,29 @@ def test_series_formula_matches_series_product():
         assert cohomology_series_formula(N) == h_series * e_series.invert()
 
 
-def test_rep_table_output_pinned(capsys):
-    assert cli.main(["rep-table", "--n", "12"]) == 0
+# sha256 of the JSON stdout of commands that pass through decompose,
+# characters and multiplicity output.
+PINNED_OUTPUTS = {
+    "rep-table --n 12":
+        "b5492d3a1ea901dbf644669bba9fb1ed4215fc9649a9ea5a2c6b57c87a46f48e",
+    "poset-homology --n 8":
+        "1f3e25d003da8d967b2c7fda750f7ffec5fb64e91c6de211b633670dcc26930d",
+    "whitney --n 8":
+        "32335dc286306dd79c0537d9f4ed4a44c0556680d60e225d44d23ed2bea4f6ae",
+    "rep-table --n 8 --route poset":
+        "881d5a8677d373ed760c943cfe1ff4752af4e84abb8c02761e475789d9139079",
+    "cup-rep --n 20":
+        "ce28cab1967cb8151cdcb0f2b772e8b144439a9ce739ea5de8c84076a7cd4f5a",
+    "branching-check --n 5":
+        "7303a336c4c3b092991401eb950e6722aca6cc59b31c05c4eda88afd7abaa678",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUTS)
+def test_rep_table_output_pinned(command, capsys):
+    assert cli.main(command.split()) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b5492d3a1ea901dbf644669bba9fb1ed4215fc9649a9ea5a2c6b57c87a46f48e")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[command]
 
 
 def test_rep_via_induction_examples():

@@ -4,7 +4,10 @@ from math import comb
 
 import pytest
 
+from coxtoric.cohomology import rep_via_induction
 from coxtoric.combinatorics import partitions_of
+from coxtoric.cup_product import _signed_permutation_character, cup_span_representation
+from coxtoric.poset_homology import equivariant_top_character, whitney_homology
 from coxtoric.rep_ring import (
     ClassFunction,
     RepSeries,
@@ -101,6 +104,28 @@ def test_character_orthonormality():
             for nu in partitions_of(n):
                 g = ClassFunction(n, table[nu])
                 assert f.inner(g) == (1 if lam == nu else 0)
+
+
+def test_inner_product_stays_exact():
+    """A quotient that is not whole comes back as a Fraction, never a float."""
+    value = ClassFunction(3, {(3,): 1}).inner(ClassFunction.trivial(3))
+    assert value == Fraction(1, 3)
+    assert type(value) is Fraction
+
+
+def test_integer_values_stay_int():
+    """Coefficients and character values that are integers are ints, from
+    both routes and the cup span."""
+    vectors = [cup_span_representation(n) for n in range(4, 8)]
+    for n in range(0, 9):
+        vectors += [rep_via_induction(n, i) for i in range(n // 2 + 1)]
+        vectors += [whitney_homology(n, i) for i in range(n // 2 + 1)]
+    values = [c for v in vectors for c in v.coeffs.values()]
+    for n in range(0, 9, 2):
+        values += equivariant_top_character(n).values.values()
+    for n in range(1, 8):
+        values += _signed_permutation_character(n).values.values()
+    assert {type(c) for c in values} == {int}
 
 
 def test_permutation_character_decomposition():
