@@ -132,7 +132,7 @@ def substitute_t(series: RepSeries) -> dict[int, SchurVector]:
 
 def euler_characteristic(cx: IntervalComplex) -> int:
     """Reduced Euler characteristic (the empty chain counts in degree -1)."""
-    return sum((-1) ** d * cx.simplex_count(d) for d in cx.dimensions())
+    return sum((-1) ** d * len(chains) for d, chains in cx.chains.items())
 
 
 def verify_poset_series_identity(N: int) -> bool:

@@ -1,14 +1,16 @@
 import gc
 import hashlib
+import json
 import random
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from coxtoric import poset_homology
+from coxtoric import cli, poset_homology
 from coxtoric.cohomology import rep_via_poset
 from coxtoric.combinatorics import (
     apply_permutation,
@@ -19,9 +21,11 @@ from coxtoric.linalg import sparse_rank
 from coxtoric.poset_homology import (
     IntervalComplex,
     build_interval_complex,
+    check_morse_certificate,
     cm_concentration_check,
     equivariant_top_character,
     homology_ranks,
+    morse_certificate,
     poset_series_sides,
     top_interval_representation,
     whitney_homology,
@@ -109,17 +113,17 @@ def test_sparse_rank_reaches_size_10():
 
 def test_simplex_counts():
     cx4 = build_interval_complex(4)
-    assert [cx4.simplex_count(d) for d in (-1, 0)] == [1, 6]
+    assert [len(cx4.chains[d]) for d in (-1, 0)] == [1, 6]
     cx6 = build_interval_complex(6)
-    assert [cx6.simplex_count(d) for d in (-1, 0, 1)] == [1, 30, 90]
+    assert [len(cx6.chains[d]) for d in (-1, 0, 1)] == [1, 30, 90]
     cx8 = build_interval_complex(8)
-    assert [cx8.simplex_count(d) for d in (-1, 0, 1, 2)] == [1, 126, 1260, 2520]
+    assert [len(cx8.chains[d]) for d in (-1, 0, 1, 2)] == [1, 126, 1260, 2520]
 
 
 @pytest.mark.parametrize("size", [4, 6, 8])
 def test_boundary_squares_to_zero(size):
     cx = build_interval_complex(size)
-    for d in cx.dimensions():
+    for d in cx.chains:
         if d >= 1:
             assert boundary_product_is_zero(
                 cx.boundary_columns(d), cx.boundary_columns(d - 1))
@@ -139,6 +143,62 @@ def test_homology_ranks(size, expected):
 def test_homology_rejects_odd():
     with pytest.raises(ValueError):
         homology_ranks(3)
+
+
+def _pairs_per_degree(size):
+    """Pairs of the matching, keyed by the degree of their lower chain."""
+    return Counter(len(lower) - 1 for lower, _ in morse_certificate(size))
+
+
+@pytest.mark.parametrize("size", [2, 4, 6, 8])
+def test_matching_pairs_equal_boundary_ranks(size):
+    # With every critical chain in the top degree, the pairs between degrees
+    # d and d + 1 number exactly the rank of the boundary out of d + 1.
+    cx = build_interval_complex(size)
+    pairs = _pairs_per_degree(size)
+    for d in range(-1, size // 2 - 1):
+        assert pairs[d] == sparse_rank(cx.boundary_columns(d + 1)), d
+
+
+def test_matching_reaches_size_10():
+    assert _pairs_per_degree(10)[1] == 12721  # the rank pinned at size 10 above
+    assert homology_ranks(10) == {5: 50521}
+
+
+A, B = frozenset({1, 2}), frozenset({1, 3})
+C, D = frozenset({1, 2, 3, 4}), frozenset({1, 2, 3, 5})
+
+
+@pytest.mark.parametrize("pairs,reason", [
+    ([((), (frozenset({1}),))], "not an even proper subset"),
+    ([((), (A, C))], "not a chain and a face"),
+    ([((), (A,)), ((A,), (A, C))], "in two pairs"),
+    # (A) < (A, C) > (C) < (B, C) > (B) < (B, D) > (D) < (A, D) > (A)
+    ([((A,), (A, C)), ((C,), (B, C)), ((B,), (B, D)), ((D,), (A, D))], "gradient cycle"),
+], ids=["odd-element", "differ-by-two", "chain-in-two-pairs", "cycle"])
+def test_verifier_rejects_bad_pairs(pairs, reason):
+    with pytest.raises(ArithmeticError, match=reason):
+        check_morse_certificate(6, pairs)
+
+
+def _drop_one_pair(size):
+    return morse_certificate(size)[1:]
+
+
+def test_verifier_rejects_a_dropped_pair():
+    assert check_morse_certificate(6, morse_certificate(6)) == {3: 61}
+    with pytest.raises(ArithmeticError, match="more than one degree"):
+        check_morse_certificate(6, _drop_one_pair(6))
+
+
+def test_dropped_pair_fails_homology_and_cli(monkeypatch, capsys):
+    monkeypatch.setattr(poset_homology, "morse_certificate", _drop_one_pair)
+    homology_ranks.cache_clear()
+    with pytest.raises(ArithmeticError):
+        homology_ranks(6)
+    assert cli.main(["poset-homology", "--n", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and list(json.loads(err)) == ["discrepancy"]
 
 
 def test_euler_characteristic_matches_homology():
