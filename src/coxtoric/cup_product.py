@@ -10,10 +10,25 @@ sign, and `cup_reduce` is the one place that orders two pairs.
 
 The cup span is evaluated once, by Pieri induction, and checked by one
 independent route: the signed trace of each permutation w on the pairing
-basis. A pairing fixed by w lies on a 4-set that w maps to itself, a union of
-cycles of w, so the trace reads only those 4-sets. The routes are compared as
-characters; characters determine decompositions, so this is as strong as
-comparing decompositions.
+basis. The routes are compared as characters; characters determine
+decompositions, so this is as strong as comparing decompositions.
+
+The trace is summed by kind of stable 4-set. A pairing fixed by w lies on a
+4-set that w maps to itself, a union of cycles of w. Its cycles make one of
+five kinds: 4, 3+1, 2+2, 2+1+1 or 1+1+1+1. Take w to be
+cycle_type_representative(mu), whose cycles are runs of consecutive integers
+in decreasing length, each run shifted by one. Then every stable 4-set of one
+kind carries the same order pattern: w restricted to it, relabelled in
+increasing order by 1..4, is the S_4 representative of that kind.
+permute_basis_key and cup_reduce compare indices only by their order, so the
+signed trace on the three pairings of such a set equals tau_kind, the trace of
+the S_4 representative. Hence, with m_j the number of j-cycles of mu,
+
+    trace(mu) = m4 tau_4 + m3 m1 tau_31 + C(m2, 2) tau_22
+                + m2 C(m1, 2) tau_211 + C(m1, 4) tau_1111.
+
+Each tau_kind is computed once, through permute_basis_key on the pairings of
+{1, 2, 3, 4}; nothing in this route uses Pieri.
 
 The branching search seeks an S_(n+1)-module restricting to a target.
 Restrictions are multiplicity-free and multiplicities nonnegative, so a
@@ -23,7 +38,7 @@ support; every other partition is forced to 0 and left out of the search.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 
 from .combinatorics import partitions_of, cycle_type_representative
@@ -71,17 +86,24 @@ def cup_span_dimension(n: int) -> int:
 
     Every reduced product is, up to sign, one of the canonical pairing basis
     elements, and all of them occur; the count is verified by actually
-    reducing every product of two classes.
+    reducing every product of two classes. The pairings of [n] number
+    3 * C(n, 4), so reduced keys that are all well-formed pairings and are
+    that many are exactly the pairing basis.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     pairs = list(combinations(range(1, n + 1), 2))
     seen = {key for a in pairs for b in pairs for key in cup_reduce(a, b)}
-    expected = set(basis_keys(n))
-    if seen != expected:
+    if len(seen) != 3 * comb(n, 4) or not all(_is_pairing(key, n) for key in seen):
         raise ArithmeticError("reduced products do not match the pairing basis")
-    assert len(seen) == 3 * comb(n, 4)
     return len(seen)
+
+
+def _is_pairing(key, n: int) -> bool:
+    """Whether key is ((a, b), (c, d)) with a < b, c < d, a < c on four
+    distinct indices in [n]."""
+    (a, b), (c, d) = key
+    return 0 < a < b <= n and a < c < d <= n and b not in (c, d)
 
 
 def permute_basis_key(w, key) -> tuple[tuple, int]:
@@ -92,22 +114,34 @@ def permute_basis_key(w, key) -> tuple[tuple, int]:
     return new_key, sign
 
 
+FOUR_SET_KINDS = ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+
+
+def four_set_kind_counts(mu) -> tuple[int, ...]:
+    """How many w-stable 4-sets of each kind in FOUR_SET_KINDS a permutation
+    w of cycle type mu has: m4, m3 m1, C(m2, 2), m2 C(m1, 2), C(m1, 4)."""
+    m = [mu.count(j) for j in range(5)]
+    return (m[4], m[3] * m[1], comb(m[2], 2), m[2] * comb(m[1], 2), comb(m[1], 4))
+
+
+def _kind_trace(kind) -> int:
+    """Signed trace of the S_4 representative of kind on the pairings of
+    {1, 2, 3, 4}."""
+    w = cycle_type_representative(kind)
+    trace = 0
+    for key in _pairings(1, 2, 3, 4):
+        image, sign = permute_basis_key(w, key)
+        trace += sign if image == key else 0
+    return trace
+
+
 def _signed_permutation_character(n: int) -> ClassFunction:
-    """Signed trace on the pairing basis, read on the w-stable 4-sets only:
-    the unions of cycles of length at most 4 whose sizes sum to 4."""
-    values = {}
-    for mu in partitions_of(n):
-        w = cycle_type_representative(mu)
-        cycles = [tuple(range(end - part + 1, end + 1))
-                  for part, end in zip(mu, accumulate(mu)) if part <= 4]
-        unions = (sum(chosen, ()) for r in range(1, 5) for chosen in combinations(cycles, r))
-        keys = [key for four in unions if len(four) == 4 for key in _pairings(*four)]
-        trace = 0
-        for key in keys:
-            image, sign = permute_basis_key(w, key)
-            trace += sign if image == key else 0
-        values[mu] = trace
-    return ClassFunction(n, values)
+    """Signed trace on the pairing basis, summed by kind of w-stable 4-set
+    (see the module docstring)."""
+    taus = [_kind_trace(kind) for kind in FOUR_SET_KINDS]
+    return ClassFunction(n, {
+        mu: sum(count * tau for count, tau in zip(four_set_kind_counts(mu), taus))
+        for mu in partitions_of(n)})
 
 
 def cup_span_representation(n: int, cross_check: bool = True) -> SchurVector:

@@ -14,6 +14,15 @@ Every sum of coefficients by key goes through _summed. A value is an int unless
 a division or an input makes it rational: _exact, the one division (by n! in
 decompose and inner), returns an int when the quotient is whole, and the
 validating constructor keeps ints and Fractions and reads the rest as Fractions.
+
+Two constructors build a SchurVector. The public SchurVector(n, coeffs) and
+scale validate: every key must be a partition of n, and every coefficient is
+read as above. The trusted SchurVector._of(n, coeffs) only drops zero
+coefficients. It serves the rules whose output is valid by construction, given
+valid input: _pieri (pieri_h, pieri_e), __add__, __neg__, restrict and omega.
+Their keys are strips added to, corners removed from, or conjugates of
+partitions, and their coefficients are sums and negatives of ints and
+Fractions.
 """
 
 from __future__ import annotations
@@ -70,6 +79,15 @@ class SchurVector:
         self.n = n
         self.coeffs = _validated(n, coeffs, "partition")
 
+    @classmethod
+    def _of(cls, n: int, coeffs: dict) -> "SchurVector":
+        """Trusted constructor: coeffs already maps partitions of n to ints and
+        Fractions, so only the zero coefficients are dropped."""
+        vec = object.__new__(cls)
+        vec.n = n
+        vec.coeffs = {lam: c for lam, c in coeffs.items() if c}
+        return vec
+
     @staticmethod
     def unit() -> "SchurVector":
         return SchurVector(0, {(): 1})
@@ -104,14 +122,14 @@ class SchurVector:
     def __add__(self, other: "SchurVector") -> "SchurVector":
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        return SchurVector(self.n, _summed(
+        return SchurVector._of(self.n, _summed(
             chain(self.coeffs.items(), other.coeffs.items())))
 
     def __sub__(self, other: "SchurVector") -> "SchurVector":
         return self + (-other)
 
     def __neg__(self) -> "SchurVector":
-        return SchurVector(self.n, {lam: -c for lam, c in self.coeffs.items()})
+        return SchurVector._of(self.n, {lam: -c for lam, c in self.coeffs.items()})
 
     def scale(self, scalar) -> "SchurVector":
         return SchurVector(self.n, {lam: scalar * c for lam, c in self.coeffs.items()})
@@ -186,7 +204,7 @@ def _pieri(v: SchurVector, k: int, strips) -> SchurVector:
     partitions strips(lam, k)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return SchurVector(v.n + k, _summed(
+    return SchurVector._of(v.n + k, _summed(
         (mu, c) for lam, c in v.coeffs.items() for mu in strips(lam, k)))
 
 
@@ -202,20 +220,21 @@ def pieri_e(v: SchurVector, k: int) -> SchurVector:
 
 def omega(v: SchurVector) -> SchurVector:
     """Sign twist: the coefficient of lam moves to its conjugate."""
-    return SchurVector(v.n, {conjugate(lam): c for lam, c in v.coeffs.items()})
+    return SchurVector._of(v.n, {conjugate(lam): c for lam, c in v.coeffs.items()})
 
 
 def restrict(v: SchurVector) -> SchurVector:
     """Branching to degree n-1: remove one corner box in all possible ways."""
     if v.n < 1:
         raise ValueError("cannot restrict degree 0")
-    return SchurVector(v.n - 1, _summed(
+    return SchurVector._of(v.n - 1, _summed(
         (lam[:i] + ((lam[i] - 1,) if lam[i] > 1 else ()) + lam[i + 1:], c)
         for lam, c in v.coeffs.items()
         for i in range(len(lam)) if i == len(lam) - 1 or lam[i] > lam[i + 1]))
 
 
-def _border_strips(lam: Partition, r: int):
+@lru_cache(maxsize=None)
+def _border_strips(lam: Partition, r: int) -> tuple:
     """Ways to remove a border strip of size r, as (smaller partition, height)."""
     L = len(lam)
     beta = [lam[i] + (L - 1 - i) for i in range(L)]
@@ -229,7 +248,7 @@ def _border_strips(lam: Partition, r: int):
         newbeta = sorted(bset - {b} | {nb}, reverse=True)
         mu = tuple(newbeta[j] - (L - 1 - j) for j in range(L))
         out.append((tuple(p for p in mu if p > 0), height))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,14 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
+from coxtoric import cup_product
 from coxtoric.cup_product import (
+    FOUR_SET_KINDS,
     basis_keys,
     branching_certificate,
     branching_infeasibility,
@@ -14,11 +16,13 @@ from coxtoric.cup_product import (
     cup_span_dimension,
     cup_span_representation,
     degree_one_class,
+    four_set_kind_counts,
     permute_basis_key,
+    _kind_trace,
     _signed_permutation_character,
 )
 from coxtoric.combinatorics import cycle_type_representative, partitions_of
-from coxtoric.rep_ring import ClassFunction, SchurVector, restrict
+from coxtoric.rep_ring import ClassFunction, SchurVector, restrict, to_class_function
 
 from oracles import act_on_degree_two, permute_degree_one
 
@@ -48,6 +52,22 @@ def test_span_dimension():
     for n in range(4, 11):
         assert cup_span_dimension(n) == 3 * comb(n, 4)
         assert len(basis_keys(n)) == 3 * comb(n, 4)
+
+
+@pytest.mark.parametrize("bad", [
+    {},                    # ((1,2),(3,4)) never occurs: one key short
+    {((2, 1), (3, 4)): 1},  # a malformed key in its place: the count still matches
+])
+def test_span_dimension_rejects_wrong_reduction(monkeypatch, bad):
+    honest = cup_product.cup_reduce
+
+    def reduce(first, second):
+        out = honest(first, second)
+        return bad if ((1, 2), (3, 4)) in out else out
+
+    monkeypatch.setattr(cup_product, "cup_reduce", reduce)
+    with pytest.raises(ArithmeticError, match="pairing basis"):
+        cup_span_dimension(6)
 
 
 def test_representation_verbatim():
@@ -214,3 +234,49 @@ def test_branching_past_twenty():
     start = time.perf_counter()
     assert branching_infeasibility(21)["status"] == "infeasible"
     assert time.perf_counter() - start < 5
+
+
+def _stable_four_sets(w):
+    """The 4-subsets of [n] that the permutation w (images of 1..n) maps to
+    themselves, each as its sorted tuple."""
+    return [four for four in combinations(range(1, len(w) + 1), 4)
+            if {w[i - 1] for i in four} == set(four)]
+
+
+def _kind_and_pattern(w, four):
+    """Cycle lengths of w on the stable set four, decreasing, and w on it
+    relabelled by rank as a permutation of 1..4."""
+    rank = {x: r for r, x in enumerate(four, 1)}
+    pattern = tuple(rank[w[x - 1]] for x in four)
+    lengths, seen = [], set()
+    for x in four:
+        length, y = 0, x
+        while y not in seen:
+            seen.add(y)
+            y, length = w[y - 1], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True)), pattern
+
+
+def test_stable_four_sets_carry_their_kind_pattern():
+    """Every w-stable 4-set of the cycle-type representative has the order
+    pattern of its kind's S_4 representative, and the sets of each kind number
+    four_set_kind_counts(mu): the two facts the kind-summed trace rests on."""
+    for n in range(1, 11):
+        for mu in partitions_of(n):
+            w = cycle_type_representative(mu)
+            counts = dict.fromkeys(FOUR_SET_KINDS, 0)
+            for four in _stable_four_sets(w):
+                kind, pattern = _kind_and_pattern(w, four)
+                assert pattern == cycle_type_representative(kind), (mu, four)
+                counts[kind] += 1
+            assert tuple(counts.values()) == four_set_kind_counts(mu), mu
+
+
+def test_kind_traces_are_the_pairing_character():
+    """The five kind traces are the character of the pairing module V_(2,1,1)
+    of S_4 on the kinds' cycle types."""
+    char = to_class_function(S(4, {(2, 1, 1): 1}))
+    taus = [_kind_trace(kind) for kind in FOUR_SET_KINDS]
+    assert taus == [char(kind) for kind in FOUR_SET_KINDS] == [1, 0, -1, -1, 3]

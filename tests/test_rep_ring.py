@@ -273,3 +273,32 @@ def test_class_function_validation():
         ClassFunction(3, {(2, 2): 1})
     with pytest.raises(ValueError, match="not a partition"):
         ClassFunction(3, {(1, 2): 1})
+
+
+def _assert_trusted_output_valid(vec):
+    assert all(type(c) in (int, Fraction) and c for c in vec.coeffs.values()), vec.coeffs
+    assert vec == S(vec.n, dict(vec.coeffs))  # the validated constructor agrees
+
+
+def test_trusted_constructor_outputs_match_validated():
+    """pieri_h, pieri_e, +, -, restrict and omega build through SchurVector._of
+    and skip validation; on seeded inputs mixing ints and Fractions, with
+    cancelling sums, each output is what the validating constructor builds
+    from the same dict."""
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        parts = partitions_of(n)
+        u = S(n, {lam: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+                  for lam in rng.sample(parts, min(4, len(parts)))})
+        # v cancels u on some constituents, so the sum drops zero coefficients
+        v = S(n, {lam: -c if rng.random() < 0.5 else rng.randint(1, 2)
+                  for lam, c in u.coeffs.items()})
+        k = rng.randint(0, 3)
+        outputs = (pieri_h(u, k), pieri_e(u, k), u + v, u - v, -u, u + (-u),
+                   restrict(u), omega(u))
+        for out in outputs:
+            _assert_trusted_output_valid(out)
+        assert (u + (-u)).is_zero()
+        assert u + v == S(n, {lam: u.coeffs.get(lam, 0) + v.coeffs.get(lam, 0)
+                              for lam in parts})
