@@ -21,10 +21,7 @@ from functools import lru_cache
 from math import comb
 
 from .combinatorics import secant_numbers
-from .poset_homology import (
-    DEFAULT_BRUTE_FORCE_BOUND,
-    top_interval_representation,
-)
+from .poset_homology import top_interval_representation
 from .rep_ring import RepSeries, SchurVector, omega, pieri_e, pieri_h
 
 FORMULA_DEGREE_LIMIT = 12
@@ -64,20 +61,18 @@ def rep_via_induction(n: int, i: int) -> SchurVector:
         raise ValueError("n and i must be nonnegative")
     if 2 * i > n:
         return SchurVector.zero(n)
-    return pieri_h(_inverse_e(2 * i), n - 2 * i).scale((-1) ** i)
+    vec = pieri_h(_inverse_e(2 * i), n - 2 * i)
+    return -vec if i % 2 else vec
 
 
-def rep_via_poset(n: int, i: int,
-                  bound: int = DEFAULT_BRUTE_FORCE_BOUND) -> SchurVector:
+def rep_via_poset(n: int, i: int) -> SchurVector:
     """Representation on H^i from interval homology: the sign-twisted top
-    homology below a 2i-set, induced up with a trivial factor."""
+    homology below a 2i-set, induced up with a trivial factor. An interval
+    above MAX_BRUTE_FORCE_BOUND raises ValueError before any chain is built."""
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
     if 2 * i > n:
         return SchurVector.zero(n)
-    if 2 * i > bound:
-        raise ValueError(
-            f"interval size {2 * i} exceeds the brute-force bound {bound}")
     return pieri_h(omega(top_interval_representation(2 * i)), n - 2 * i)
 
 
@@ -86,14 +81,14 @@ def _signed_series(N: int, rep) -> RepSeries:
     series = RepSeries.one(N)
     for n in range(1, N + 1):
         for i in range(0, n // 2 + 1):
-            series.add_term(n, i, rep(n, i).scale((-1) ** i))
+            vec = rep(n, i)
+            series.add_term(n, i, -vec if i % 2 else vec)
     return series
 
 
-def cohomology_series_poset(N: int,
-                            bound: int = DEFAULT_BRUTE_FORCE_BOUND) -> RepSeries:
+def cohomology_series_poset(N: int) -> RepSeries:
     """1 + sum over n of sum over i of H^i * (-t)^i, poset route."""
-    return _signed_series(N, lambda n, i: rep_via_poset(n, i, bound=bound))
+    return _signed_series(N, rep_via_poset)
 
 
 def cohomology_series_formula(N: int) -> RepSeries:
@@ -102,7 +97,6 @@ def cohomology_series_formula(N: int) -> RepSeries:
     return _signed_series(N, rep_via_induction)
 
 
-def verify_cohomology_series(N: int = 8,
-                             bound: int = DEFAULT_BRUTE_FORCE_BOUND) -> bool:
+def verify_cohomology_series(N: int = 8) -> bool:
     """Degreewise equality in n and t of the poset and formula series."""
-    return cohomology_series_poset(N, bound=bound) == cohomology_series_formula(N)
+    return cohomology_series_poset(N) == cohomology_series_formula(N)

@@ -33,7 +33,8 @@ Each tau_kind is computed once, through permute_basis_key on the pairings of
 The branching search seeks an S_(n+1)-module restricting to a target.
 Restrictions are multiplicity-free and multiplicities nonnegative, so a
 partition of n+1 with positive multiplicity restricts inside the target's
-support; every other partition is forced to 0 and left out of the search.
+support; it is a support partition plus one box, read off the Pieri product
+of the support with h_1. Every other partition is forced to 0 and left out.
 """
 
 from __future__ import annotations
@@ -168,16 +169,18 @@ def branching_certificate(target: SchurVector) -> dict:
     sum of c * restriction equal to the target.
 
     Complete depth-first search over the partitions that restrict inside the
-    target's support, in decreasing dimension order: each multiplicity is
-    bounded by the remaining target, and a branch is pruned when some
-    remaining coordinate can no longer be covered. An infeasible answer is
-    therefore exhaustive, not heuristic.
+    target's support, in decreasing order of (dimension, partition): each
+    multiplicity is bounded by the remaining target, and a branch is pruned
+    when some remaining coordinate can no longer be covered. An infeasible
+    answer is therefore exhaustive, not heuristic.
     """
     n = target.n
     if not target.is_integral() or any(c < 0 for c in target.coeffs.values()):
         raise ValueError("target must have nonnegative integer multiplicities")
+    support_plus_box = pieri_h(SchurVector._of(n, dict.fromkeys(target.coeffs, 1)), 1)
     restrictions = ((lam, restrict(SchurVector(n + 1, {lam: 1})).coeffs)
-                    for lam in sorted(partitions_of(n + 1), key=irrep_dimension, reverse=True))
+                    for lam in sorted(support_plus_box.coeffs,
+                                      key=lambda lam: (irrep_dimension(lam), lam), reverse=True))
     candidates = [(lam, res) for lam, res in restrictions if res.keys() <= target.coeffs.keys()]
 
     def search(idx, residual):

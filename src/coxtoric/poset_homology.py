@@ -56,7 +56,6 @@ from .rep_ring import (
     pieri_h,
 )
 
-DEFAULT_BRUTE_FORCE_BOUND = 8
 # Largest interval size the brute-force route is allowed to reach: the size-10
 # matching and its check take about 2 s and 76 MB, size 12 has 7.48 M top
 # chains.
@@ -273,7 +272,8 @@ def poset_series_sides(N: int):
         raise ValueError("N must be nonnegative")
     lhs: dict[int, SchurVector] = {0: SchurVector.unit()}
     for n in range(2, N + 1, 2):
-        lhs[n] = top_interval_representation(n).scale((-1) ** (n // 2))
+        vec = top_interval_representation(n)
+        lhs[n] = -vec if n // 2 % 2 else vec
 
     series = RepSeries(N, {(0, 0): SchurVector.unit()})
     for n in range(2, N + 1, 2):

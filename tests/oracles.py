@@ -15,11 +15,7 @@ from math import comb
 from coxtoric.cohomology import betti, cohomology_series_poset
 from coxtoric.combinatorics import Partition, partitions_of, validate_chain
 from coxtoric.cup_product import degree_one_class, permute_basis_key
-from coxtoric.poset_homology import (
-    DEFAULT_BRUTE_FORCE_BOUND,
-    IntervalComplex,
-    poset_series_sides,
-)
+from coxtoric.poset_homology import IntervalComplex, poset_series_sides
 from coxtoric.rep_ring import (
     ClassFunction,
     RepSeries,
@@ -146,8 +142,7 @@ def verify_poset_series_identity(N: int) -> bool:
 # Cohomology
 
 
-def exponential_specialization(N: int = 8,
-                               bound: int = DEFAULT_BRUTE_FORCE_BOUND) -> list[dict]:
+def exponential_specialization(N: int = 8) -> list[dict]:
     """Dimension specialization of the cohomology series, checked cell by cell
     against the exact expansion of exp(x) * sech(t^(1/2) x), whose t^i x^n / n!
     coefficient is (-1)^i A_{2i} C(n, 2i) = (-1)^i betti(n, i).
@@ -155,7 +150,7 @@ def exponential_specialization(N: int = 8,
     Returns one row per (n, i) with the series coefficient of t^i x^n / n!
     from both routes and an ok flag.
     """
-    series = cohomology_series_poset(N, bound=bound)
+    series = cohomology_series_poset(N)
     rows = []
     for n in range(0, N + 1):
         for i in range(0, n // 2 + 1):

@@ -99,7 +99,7 @@ def test_describe(capsys):
         code, out, _ = run_cli(capsys, command, "--describe")
         assert code == 0
         assert out.strip()
-    descriptions = {cli.DESCRIPTIONS[c] for c in cli.HANDLERS}
+    descriptions = {cli.COMMANDS[c].description for c in cli.HANDLERS}
     assert len(descriptions) == len(cli.HANDLERS)
 
 
@@ -149,15 +149,60 @@ def test_help_exits_zero(capsys):
         assert code == 0 and out.startswith("usage: coxtoric") and err == ""
 
 
-@pytest.mark.parametrize("command,flag", sorted(cli.CEILINGS))
+FIXED_CEILINGS = {(name, flag.name): flag.ceiling
+                  for name, spec in cli.COMMANDS.items() for flag in spec.flags
+                  if isinstance(flag.ceiling, int)}
+
+
+@pytest.mark.parametrize("command,flag", sorted(FIXED_CEILINGS))
 def test_ceilings(capsys, command, flag):
-    ceiling = cli.CEILINGS[command, flag]
+    ceiling = FIXED_CEILINGS[command, flag]
     for value in (ceiling + 1, 10 ** 7):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, command, f"--{flag}", str(value))
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert f"limited to {ceiling}" in json.loads(err)["error"]
+
+
+def test_every_integer_flag_is_bounded(capsys):
+    """Walk the registrations: every integer flag has a ceiling, fixed or
+    read from another flag (--i by --n), or is bounded through the interval
+    size by --bound. Only --seed is unbounded. At 10**7 each bounded flag is
+    refused at once, with the other required flags at 4."""
+    unbounded = []
+    for name, spec in cli.COMMANDS.items():
+        for flag in spec.flags:
+            if flag.type is not int:
+                continue
+            if flag.ceiling is None and spec.interval is None:
+                unbounded.append((name, flag.name))
+                continue
+            others = [tok for f in spec.flags if f.required and f is not flag
+                      for tok in (f"--{f.name}", "4")]
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, name, f"--{flag.name}", str(10 ** 7), *others)
+            assert time.perf_counter() - start < 1, (name, flag.name)
+            assert code == 2 and out == "", (name, flag.name)
+            error = json.loads(err)["error"]
+            assert "limited to" in error or "bound" in error, (name, flag.name, error)
+    assert unbounded == [("model-check", "seed")]
+    with_bound = {name for name, spec in cli.COMMANDS.items() if cli.BOUND in spec.flags}
+    with_interval = {name for name, spec in cli.COMMANDS.items() if spec.interval}
+    assert with_bound == with_interval == {"rep-table", "verify-cohomology",
+                                           "verify-poset-series", "poset-homology", "whitney"}
+
+
+def test_poset_route_refused_before_any_row(monkeypatch, capsys):
+    """rep-table --n 12 --route poset needs interval size 12, beyond the
+    default bound 8; it is refused before a single row is computed."""
+    def no_work(n, i):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cohomology, "rep_via_poset", no_work)
+    code, out, err = run_cli(capsys, "rep-table", "--n", "12", "--route", "poset")
+    assert code == 2 and out == ""
+    assert "bound" in json.loads(err)["error"]
 
 
 README_POINT = {"n": 3, "components": [

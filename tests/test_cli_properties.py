@@ -20,7 +20,9 @@ SWITCHES = ("--describe", "--help")
 VALUES = st.one_of(
     st.integers(-2, 4).map(str),
     st.sampled_from(("abc", "1.5", "", "csv", "json", "plain", "poset")),
-    st.sampled_from(sorted({str(c + 1) for c in cli.CEILINGS.values()} | {str(10 ** 7)})),
+    st.sampled_from(sorted({str(flag.ceiling + 1) for spec in cli.COMMANDS.values()
+                            for flag in spec.flags if isinstance(flag.ceiling, int)}
+                           | {str(10 ** 7)})),
 )
 OPTIONS = st.one_of(st.tuples(st.sampled_from(FLAGS), VALUES),
                     st.tuples(st.sampled_from(SWITCHES)))

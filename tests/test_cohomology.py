@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from coxtoric import cli
+from coxtoric import cli, cohomology, rep_ring
 from coxtoric.cohomology import (
     betti,
     cohomology_series_formula,
@@ -112,9 +112,23 @@ def test_rep_via_poset_examples():
     assert rep_via_poset(5, 1) == S(5, {(4, 1): 1, (3, 1, 1): 1})
 
 
-def test_rep_via_poset_respects_bound():
-    with pytest.raises(ValueError):
-        rep_via_poset(20, 5, bound=8)
+def test_induction_signs_validate_no_pieri_output(monkeypatch):
+    """The sign (-1)^i is a negation, so every degree at n = 14 runs its
+    Pieri outputs through no validation: the only validated vectors are the
+    constants zero and unit, with at most one partition each."""
+    validated = rep_ring._validated
+    sizes = []
+
+    def counted(n, entries, kind):
+        sizes.append(len(entries or {}))
+        return validated(n, entries, kind)
+
+    monkeypatch.setattr(rep_ring, "_validated", counted)
+    cohomology.rep_via_induction.cache_clear()
+    cohomology._inverse_e.cache_clear()
+    reps = [rep_via_induction(14, i) for i in range(8)]
+    assert [rep.dimension() for rep in reps] == [betti(14, i) for i in range(8)]
+    assert sizes and max(sizes) <= 1
 
 
 def test_reps_are_honest_modules():

@@ -127,6 +127,18 @@ def test_branching_infeasible(n):
     assert branching_infeasibility(n)["status"] == "infeasible"
 
 
+def test_branching_candidates_come_from_the_support(monkeypatch):
+    """The search reads its candidates off the support plus one box; it
+    never lists the partitions of n + 1."""
+    def no_partitions_of_seven(n):
+        if n == 7:
+            raise AssertionError("partitions of n + 1 were listed")
+        return partitions_of(n)
+
+    monkeypatch.setattr(cup_product, "partitions_of", no_partitions_of_seven)
+    assert branching_infeasibility(6)["status"] == "infeasible"
+
+
 def test_branching_feasible_exception_at_five():
     """The restriction obstruction genuinely vanishes at n = 5: removing one
     corner box from (3,1,1,1) gives (2,1,1,1) and (3,1,1), and from (2,2,2)

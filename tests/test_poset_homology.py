@@ -328,7 +328,7 @@ def test_complex_not_retained(monkeypatch):
     lambda: homology_ranks(12),
     lambda: equivariant_top_character(12),
     lambda: whitney_homology(12, 6),
-    lambda: rep_via_poset(12, 6, bound=12),
+    lambda: rep_via_poset(12, 6),
 ], ids=["homology_ranks", "equivariant_top_character", "whitney_homology", "rep_via_poset"])
 def test_brute_force_ceiling(call):
     start = time.perf_counter()
