@@ -37,7 +37,7 @@ class Flag(NamedTuple):
     """Option --name. An int flag lies in floor..ceiling, and a callable
     ceiling reads the other flags. README tabulates the cost of one run at
     each fixed ceiling and one step past it; a step past is not always a
-    runaway (model-check --n 8: 1.9 s at 50 trials, 35 s at 1000). A str flag
+    runaway (model-check --n 8: 0.9 s at 50 trials, 14 s at 1000). A str flag
     is checked by argparse against its choices, if any."""
 
     name: str

@@ -1,32 +1,36 @@
 """Concrete geometry of the compactified torus inside a product of projective
 spaces indexed by nonempty subsets of [n].
 
-A point carries one projective tuple of exact rationals per nonempty subset I,
-each an int unless its input or a torus factor is a string or a Fraction;
+A point carries one projective tuple v_I of exact rationals per nonempty subset
+I, each an int unless its input or a torus factor is a string or a Fraction;
 membership is the rank-one compatibility of every nested pair of components.
 The vanishing recursion sorts points into torus orbits labelled by strict
 subset chains, and each point admits an explicit one-parameter degeneration
 from the open torus, which degeneration_witness reconstructs and checks
 component by component.
 
-The membership scan works in integers: each component is scaled once per scan
-by the lcm of its denominators, which leaves every minor's vanishing as it
-was, and each pair is compared against one pivot, the first nonzero entry of
-the smaller component. is_on_model scans only the cover pairs (J - {j}, J)
-with |J| >= 3, n*2^(n-1) - n^2 of them against O(3^n) nested pairs. That
-needs nonzero components, which the constructor enforces: with v_I != 0 a
-pair passes exactly when v_J restricted to I is c*v_I for some c, possibly 0,
-and these scalars multiply along a saturated chain I < ... < J, so every
-nested pair passes. first_violation scans every nested pair in subset order.
+Membership is read off the orbit chain [n] = K_0 > K_1 > ... > K_m = {} of the
+vanishing recursion, K_{s+1} the zeros of v_{K_s}; the stage of a subset J is
+the last s with J <= K_s. A point is on the model exactly when every v_J is
+proportional to v_{K_s}|_J, s the stage of J. Necessity: J is not inside
+K_{s+1}, so v_{K_s}|_J != 0, and the pair (J, K_s) forces proportionality.
+Sufficiency: take I < J. If I has J's stage s, v_I and v_J|_I are both
+proportional to v_{K_s}|_I; if I lies deeper, v_J|_I is proportional to
+v_{K_s}|_I = 0. Both steps need nonzero components, which the constructor
+enforces. So a scan reads each component once, against its block, where the
+nested pairs number O(3^n). first_violation scans every nested pair in subset
+order, in integers: each component is scaled by the lcm of its denominators,
+and each pair is compared against one pivot, the first nonzero entry of I.
 
-The guard lives on the public entry points: is_on_model is the check, and
-orbit_of and degeneration_witness raise ValueError off the model. _orbit is
-the bare vanishing recursion, only for callers that have already checked.
+A ModelPoint is immutable, so the scan's result, the chain or None, is kept
+on it: is_on_model, orbit_of and degeneration_witness scan one point once,
+and orbit_of and degeneration_witness raise ValueError off the model.
 
 Every scan and serialization walks the nonempty subsets of [n] in one order,
 by size and then lexicographically, built once per n by _subsets.
 random_model_point draws an index into all_chains(n) and unranks it, so no
-chain is enumerated for a draw.
+chain is enumerated for a draw, and builds the torus translate of the chain's
+canonical point directly, as representative_point and torus_embedding do.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ def _subsets(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _keys(n: int) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
+    """(subset, its frozenset) for every nonempty subset of [n], in subset order."""
+    return tuple((sub, frozenset(sub)) for sub in _subsets(n))
+
+
+@lru_cache(maxsize=None)
 def _nested_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]], ...]:
     """(I, J, positions of I inside J) for every I < J with |I| >= 2, both in
     subset order; a singleton I has no 2x2 minor to test."""
@@ -62,22 +72,16 @@ def _nested_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]],
         for big in subsets if len(big) > len(small) and set(small) <= set(big))
 
 
-@lru_cache(maxsize=None)
-def _cover_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]], ...]:
-    """(J - {j}, J, positions of J - {j} inside J) for every |J| >= 3."""
-    return tuple(
-        (frozenset(big) - {j}, frozenset(big), tuple(k for k in range(len(big)) if k != pos))
-        for big in _subsets(n) if len(big) > 2 for pos, j in enumerate(big))
-
-
 class ModelPoint:
     """Projective coordinate tuples indexed by the nonempty subsets of [n].
 
     Components are aligned with the sorted order of their subset; singleton
-    components carry no information and default to (1,).
+    components carry no information and default to (1,). A point is
+    immutable; its first scan sets _chain to the orbit chain, or to None off
+    the model.
     """
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "components", "_chain")
 
     def __init__(self, n: int, components):
         if n < 1:
@@ -107,6 +111,14 @@ class ModelPoint:
             missing = next(sub for sub in _subsets(n) if frozenset(sub) not in comps)
             raise ValueError(f"missing component {list(missing)}")
         self.components = comps
+
+    @classmethod
+    def _of(cls, n: int, comps: dict) -> "ModelPoint":
+        """Trusted constructor: comps already maps every nonempty subset of
+        [n] to a nonzero tuple of ints and Fractions, built from a valid point."""
+        point = object.__new__(cls)
+        point.n, point.components = n, comps
+        return point
 
     def component(self, subset) -> tuple:
         return self.components[frozenset(subset)]
@@ -186,39 +198,76 @@ def projectively_equal(u, v) -> bool:
 def torus_embedding(coords) -> ModelPoint:
     """Image of a torus element: every component restricts the same tuple."""
     coords = tuple(coords)
-    return torus_act(coords, representative_point(
-        (frozenset(range(1, len(coords) + 1)), frozenset())))
-
-
-def _first_failing(p: ModelPoint, pairs):
-    """First (I, J) of pairs, as sorted lists, whose components fail the
-    rank-one condition, or None."""
-    comps = {subset: _integral(coords) for subset, coords in p.components.items()}
-    for small, big, inner in pairs:
-        v = comps[big]
-        if not _minors_vanish(comps[small], tuple(v[k] for k in inner)):
-            return (sorted(small), sorted(big))
-    return None
+    t = _torus_element(coords, len(coords))
+    return _translate((frozenset(range(1, len(t) + 1)), frozenset()), t)
 
 
 def first_violation(p: ModelPoint):
     """First nested pair (I, J) whose components fail the rank-one condition,
     or None when the point is on the model. Pairs are scanned in subset order,
     I first, then J."""
-    return _first_failing(p, _nested_pairs(p.n))
+    comps = {subset: _integral(coords) for subset, coords in p.components.items()}
+    for small, big, inner in _nested_pairs(p.n):
+        v = comps[big]
+        if not _minors_vanish(comps[small], tuple(v[k] for k in inner)):
+            return (sorted(small), sorted(big))
+    return None
 
 
 def is_on_model(p: ModelPoint) -> bool:
     """Membership: all 2x2 minors of every nested component pair vanish,
-    checked on the cover pairs alone (see the module docstring)."""
-    return _first_failing(p, _cover_pairs(p.n)) is None
+    checked against the orbit chain (see the module docstring)."""
+    return _scan(p) is not None
 
 
 def orbit_of(p: ModelPoint) -> SubsetChain:
     """Orbit chain of a point, which must lie on the model."""
-    if not is_on_model(p):
+    chain = _scan(p)
+    if chain is None:
         raise ValueError("orbit classification needs a point on the model")
-    return _orbit(p)
+    return chain
+
+
+def _scan(p: ModelPoint):
+    """The orbit chain of p, or None off the model; worked out on the point's
+    first scan and kept on it."""
+    try:
+        return p._chain
+    except AttributeError:
+        p._chain = _chain_on_model(p)
+        return p._chain
+
+
+def _chain_on_model(p: ModelPoint):
+    """The orbit chain if every component is proportional to its stage block
+    restricted to it (see the module docstring), else None. With a the first
+    element of the subset at its stage s, u = v_{K_s} has u[a] != 0, so that
+    asks u[a]*v[i] == u[i]*v[a] for i at stage s and v[i] == 0 deeper."""
+    chain = _orbit(p)
+    stage, u = _stages(chain), {}
+    for K in chain[:-1]:  # deeper blocks overwrite: u[i] is read at i's stage
+        u.update(zip(sorted(K), p.components[K]))
+    for sub, key in _keys(p.n):
+        s = min(map(stage.__getitem__, sub))
+        ua = None
+        for i, c in zip(sub, p.components[key]):
+            if stage[i] != s:
+                if c:
+                    return None
+            elif ua is None:
+                ua, va = u[i], c
+            elif ua * c != u[i] * va:
+                return None
+    return chain
+
+
+def _stages(chain: SubsetChain) -> list[int]:
+    """stage[i] = s for i in K_s - K_{s+1}; index 0 is unused."""
+    stage = [0] * (len(chain[0]) + 1)
+    for s, (K, nxt) in enumerate(zip(chain, chain[1:])):
+        for i in K - nxt:
+            stage[i] = s
+    return stage
 
 
 def _orbit(p: ModelPoint) -> SubsetChain:
@@ -239,18 +288,19 @@ def representative_point(chain: SubsetChain) -> ModelPoint:
     """Canonical point on the orbit of a chain: each block's component is 1
     away from the next block and 0 on it, propagated to all subsets."""
     validate_chain(chain)
-    n = len(chain[0])
+    return _translate(chain, (1,) * len(chain[0]))
+
+
+def _translate(chain: SubsetChain, t: tuple) -> ModelPoint:
+    """torus_act(t, representative_point(chain)) for a valid chain and a
+    checked torus element: the I-component is t_i where i sits at I's stage,
+    and 0 deeper."""
+    stage = _stages(chain)
     comps = {}
-    for sub in _subsets(n):
-        s = frozenset(sub)
-        nxt = chain[_stage(chain, s) + 1]
-        comps[s] = tuple(0 if i in nxt else 1 for i in sub)
-    return ModelPoint(n, comps)
-
-
-def _stage(chain: SubsetChain, subset: frozenset) -> int:
-    """Index of the last chain block containing the subset."""
-    return max(idx for idx, K in enumerate(chain[:-1]) if subset <= K)
+    for sub, key in _keys(len(chain[0])):
+        top = min(map(stage.__getitem__, sub))
+        comps[key] = tuple(t[i - 1] if stage[i] == top else 0 for i in sub)
+    return ModelPoint._of(len(chain[0]), comps)
 
 
 def _limit(sub, terms) -> tuple:
@@ -300,12 +350,18 @@ def degeneration_witness(p: ModelPoint) -> dict:
 
 def torus_act(t, p: ModelPoint) -> ModelPoint:
     """Coordinatewise scaling of every component by the torus element t."""
+    t = _torus_element(t, p.n)
+    return ModelPoint._of(p.n, {
+        key: tuple(t[i - 1] * c if c else c for i, c in zip(sub, p.components[key]))
+        for sub, key in _keys(p.n)})
+
+
+def _torus_element(t, n: int) -> tuple:
+    """t as n nonzero ints and Fractions, n >= 1; anything else is refused."""
     t = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in t)
-    if len(t) != p.n or any(c == 0 for c in t):
+    if not t or len(t) != n or any(c == 0 for c in t):
         raise ValueError("torus element must have n nonzero entries")
-    return ModelPoint(p.n, {
-        subset: tuple(t[i - 1] * c if c else c for i, c in zip(sorted(subset), coords))
-        for subset, coords in p.components.items()})
+    return t
 
 
 def permute_point(w, p: ModelPoint) -> ModelPoint:
@@ -316,7 +372,7 @@ def permute_point(w, p: ModelPoint) -> ModelPoint:
     for subset, coords in p.components.items():
         images, moved = zip(*sorted(zip([w[i - 1] for i in sorted(subset)], coords)))
         comps[frozenset(images)] = moved
-    return ModelPoint(p.n, comps)
+    return ModelPoint._of(p.n, comps)
 
 
 def permute_chain(w, chain: SubsetChain) -> SubsetChain:
@@ -346,18 +402,16 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     if not closure_refinement(fine, coarse):
         raise ValueError("first chain must refine the second")
     n = len(coarse[0])
-    fine_stage = {i: idx for idx, (K, nxt) in enumerate(zip(fine, fine[1:]), start=1)
-                  for i in K - nxt}
+    fine_stage, coarse_stage = _stages(fine), _stages(coarse)
 
     target = representative_point(fine)
     t0 = Fraction(1, 2)
     sample_comps = {}
     limit_ok = True
     components = []
-    for sub in _subsets(n):
-        s = frozenset(sub)
-        nxt = coarse[_stage(coarse, s) + 1]
-        terms = {i: (1, fine_stage[i]) for i in sub if i not in nxt}
+    for sub, s in _keys(n):
+        top = min(map(coarse_stage.__getitem__, sub))
+        terms = {i: (1, fine_stage[i] + 1) for i in sub if coarse_stage[i] == top}
         sample_comps[s] = tuple(t0 ** terms[i][1] if i in terms else 0 for i in sub)
         ok = projectively_equal(_limit(sub, terms), target.components[s])
         limit_ok = limit_ok and ok
@@ -365,7 +419,7 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
             components.append({"subset": list(sub), "ok": ok})
     sample = ModelPoint(n, sample_comps)
     on_model = is_on_model(sample)
-    in_orbit = on_model and _orbit(sample) == coarse
+    in_orbit = on_model and _scan(sample) == coarse
     return {
         "fine": [sorted(b) for b in fine],
         "coarse": [sorted(b) for b in coarse],
@@ -430,7 +484,7 @@ def random_model_point(n: int, rng) -> ModelPoint:
     """A torus translate of a random orbit representative; exercises strata of
     every depth, not just the open orbit."""
     chain = unrank_chain(n, rng.randrange(ordered_bell(n)))
-    return torus_act(random_torus_element(n, rng), representative_point(chain))
+    return _translate(chain, random_torus_element(n, rng))
 
 
 def equivariance_report(n: int, trials: int, seed: int) -> dict:
@@ -447,17 +501,17 @@ def equivariance_report(n: int, trials: int, seed: int) -> dict:
         if not is_on_model(p):
             failures.append({"trial": trial, "property": "representative_on_model"})
             continue
-        orbit = _orbit(p)
+        orbit = _scan(p)
         scaled = torus_act(random_torus_element(n, rng), p)
         if not is_on_model(scaled):
             failures.append({"trial": trial, "property": "torus_invariance"})
-        elif _orbit(scaled) != orbit:
+        elif _scan(scaled) != orbit:
             failures.append({"trial": trial, "property": "torus_orbit_stability"})
         w = random_permutation(n, rng)
         moved = permute_point(w, p)
         if not is_on_model(moved):
             failures.append({"trial": trial, "property": "permutation_invariance"})
-        elif _orbit(moved) != permute_chain(w, orbit):
+        elif _scan(moved) != permute_chain(w, orbit):
             failures.append({"trial": trial, "property": "permutation_orbit_equivariance"})
     return {"n": n, "trials": trials, "seed": seed,
             "failures": failures, "ok": not failures}

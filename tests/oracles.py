@@ -22,7 +22,7 @@ from coxtoric.rep_ring import (
     SchurVector,
     _summed,
 )
-from coxtoric.wonderful_model import ModelPoint, SubsetChain, _stage
+from coxtoric.wonderful_model import ModelPoint, SubsetChain
 
 
 # Combinatorics
@@ -182,7 +182,7 @@ def satisfies_closure_equations(p: ModelPoint, chain: SubsetChain) -> bool:
     if len(chain[0]) != p.n:
         raise ValueError("chain and point sizes differ")
     for subset, coords in p.components.items():
-        nxt = chain[_stage(chain, subset) + 1]
+        nxt = chain[max(s for s, K in enumerate(chain[:-1]) if subset <= K) + 1]
         for k, coord in zip(sorted(subset), coords):
             if k in nxt and coord != 0:
                 return False

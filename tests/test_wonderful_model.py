@@ -151,9 +151,10 @@ def test_first_violation_matches_all_minors_oracle():
     assert verdicts == {True, False}
 
 
-def test_cover_pair_membership_matches_full_scan():
-    """is_on_model reads only the cover pairs; first_violation reads them all.
-    Bent copies change one coordinate of one component, keeping it nonzero."""
+def test_chain_membership_matches_full_scan():
+    """is_on_model reads each component against its orbit chain block;
+    first_violation reads every nested pair. Bent copies change one coordinate
+    of one component, keeping it nonzero."""
     rng = random.Random(5)
     bends = (lambda c: Fraction(0), lambda c: 2 * c, lambda c: c + 1)
     verdicts = set()
@@ -175,6 +176,74 @@ def test_cover_pair_membership_matches_full_scan():
                 assert is_on_model(q) == on_model
                 verdicts.add(on_model)
     assert verdicts == {True, False}
+
+
+def test_chain_membership_on_every_chain_of_5():
+    """On every chain of n <= 5: the canonical point, a torus translate, and
+    copies bent in one coordinate, one of them with a zero written into a
+    block's component so that the vanishing chain itself moves. Each copy is
+    a fresh point, so nothing is read from an earlier scan."""
+    rng = random.Random(17)
+    verdicts, moved_on_model = set(), 0
+    for n in range(1, 6):
+        for chain in all_chains(n):
+            p = representative_point(chain)
+            q = torus_act(random_torus_element(n, rng), p)
+            points = [p, q]
+            block = rng.choice(chain[:-1])
+            coords = list(q.components[block])
+            nonzero = [k for k, c in enumerate(coords) if c]
+            if len(nonzero) > 1:
+                coords[rng.choice(nonzero)] = 0
+                points.append(ModelPoint(n, {**q.components, block: tuple(coords)}))
+            if n > 1:
+                subset = rng.choice(sorted((s for s in q.components if len(s) > 1), key=sorted))
+                coords = list(q.components[subset])
+                k = rng.randrange(len(coords))
+                for bent in (coords[k] + 1, -coords[k]):
+                    if any(coords[:k] + [bent] + coords[k + 1:]):
+                        points.append(ModelPoint(n, {
+                            **q.components, subset: (*coords[:k], bent, *coords[k + 1:])}))
+            for r in points:
+                expected = first_violation(r) is None
+                assert is_on_model(r) == expected
+                verdicts.add(expected)
+                if expected:
+                    assert orbit_of(r) == wonderful_model._orbit(r)
+                    moved_on_model += orbit_of(r) != chain
+                else:
+                    with pytest.raises(ValueError):
+                        orbit_of(r)
+    assert verdicts == {True, False} and moved_on_model > 0
+
+
+def test_one_scan_per_point(monkeypatch):
+    calls = []
+    scan = wonderful_model._chain_on_model
+    monkeypatch.setattr(wonderful_model, "_chain_on_model", lambda p: calls.append(p) or scan(p))
+    p = torus_embedding((2, 3, 5))
+    assert is_on_model(p) and orbit_of(p) and degeneration_witness(p)["ok"]
+    assert len(calls) == 1 and calls[0] is p
+
+
+def _typed(p):
+    return {subset: [(type(c), c) for c in coords] for subset, coords in p.components.items()}
+
+
+def test_translate_is_torus_act_on_the_canonical_point():
+    """Values and types, for int, Fraction and str torus elements."""
+    rng = random.Random(23)
+    for n in range(1, 5):
+        for chain in all_chains(n):
+            for t in (tuple(rng.choice((1, -2, 3)) for _ in range(n)),
+                      random_torus_element(n, rng),
+                      tuple(rng.choice(("1", "-3/2", "0.25", "5")) for _ in range(n))):
+                direct = wonderful_model._translate(
+                    chain, wonderful_model._torus_element(t, n))
+                assert _typed(direct) == _typed(torus_act(t, representative_point(chain)))
+    for bad in ((), (1, 0, 2), ("0",), (Fraction(0), 1)):
+        with pytest.raises(ValueError):
+            torus_embedding(bad)
 
 
 def test_unrank_chain_matches_enumeration():
