@@ -197,8 +197,8 @@ def cmd_verify_cohomology(config) -> int:
          (BOUND, Flag("N", 8)), interval=lambda config: config.N)
 def cmd_verify_poset_series(config) -> int:
     lhs, rhs = poset_homology.poset_series_sides(config.N)
-    for n in sorted(set(lhs) | set(rhs)):
-        if lhs.get(n, SchurVector.zero(n)) != rhs.get(n, SchurVector.zero(n)):
+    for n in lhs:  # both sides hold every even degree up to N, in order
+        if lhs[n] != rhs[n]:
             _emit({"verified": False, "first_failing": {"n": n}}, None, config)
             return 1
     _emit({"verified": True, "N": config.N}, None, config)

@@ -4,10 +4,9 @@ real toric variety of the type-A reflection arrangement fan.
 Two fully independent pipelines produce the representation on each H^i:
 
 * the induction formula: H^i is (-1)^i times the t^i coefficient of
-  (sum h_n) * (1 + sum e_{2k} t^k)^-1. The inverse is built once by the
-  recurrence R_0 = 1, R_{2i} = -(sum over k of e_{2k} R_{2i-2k}) with Pieri
-  products, and H^i = (-1)^i h_{n-2i} R_{2i}. The test suite keeps the
-  expanded signed sum over ordered tuples of even parts as its oracle.
+  (sum h_n) * (1 + sum e_{2k} t^k)^-1, that is (-1)^i h_{n-2i} R_{2i} with
+  R_{2i} from rep_ring's cached recurrence even_series_inverse. The test suite
+  keeps the expanded signed sum over ordered tuples of even parts as its oracle.
 * the poset route, inducing the sign-twisted top homology of the even-subset
   lattice computed from order complexes.
 
@@ -17,12 +16,11 @@ Betti numbers A_{2i} * C(n, 2i), is the contract the acceptance suite pins.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .combinatorics import secant_numbers
 from .poset_homology import top_interval_representation
-from .rep_ring import RepSeries, SchurVector, omega, pieri_e, pieri_h
+from .rep_ring import RepSeries, SchurVector, even_series_inverse, omega, pieri_e, pieri_h
 
 FORMULA_DEGREE_LIMIT = 12
 
@@ -36,32 +34,19 @@ def betti(n: int, i: int) -> int:
     return secant_numbers(2 * i)[-1] * comb(n, 2 * i)
 
 
-@lru_cache(maxsize=None)
-def _inverse_e(degree: int) -> SchurVector:
-    """Degree-`degree` coefficient R of (1 + sum over k of e_{2k} t^k)^-1 for
-    even `degree`: R_0 = 1 and R_{2i} = -(sum over k of e_{2k} R_{2i-2k})."""
-    if degree == 0:
-        return SchurVector.unit()
-    acc = SchurVector.zero(degree)
-    for part in range(2, degree + 1, 2):
-        acc = acc - pieri_e(_inverse_e(degree - part), part)
-    return acc
-
-
-@lru_cache(maxsize=None)
 def rep_via_induction(n: int, i: int) -> SchurVector:
     """Representation on H^i from the signed induction formula.
 
     H^i is (-1)^i times the t^i coefficient of (sum h_n) * (1 + sum e_{2k} t^k)^-1
-    in degree n, that is (-1)^i h_{n-2i} * R_{2i} with R_{2i} from the cached
-    series-inverse recurrence. The test suite checks it against the expanded
-    form, a signed sum over ordered tuples of even parts summing to 2i.
+    in degree n, that is (-1)^i h_{n-2i} * R_{2i} with R_{2i} from
+    even_series_inverse run with pieri_e. The test suite checks it against the
+    expanded form, a signed sum over ordered tuples of even parts summing to 2i.
     """
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
     if 2 * i > n:
         return SchurVector.zero(n)
-    vec = pieri_h(_inverse_e(2 * i), n - 2 * i)
+    vec = pieri_h(even_series_inverse(2 * i, pieri_e), n - 2 * i)
     return -vec if i % 2 else vec
 
 

@@ -105,24 +105,22 @@ def all_chains(n: int) -> list[SubsetChain]:
     return out
 
 
-@lru_cache(maxsize=None)
+_STIRLING = [[1]]  # row n holds S(n, 0..n): stirling2 extends it bottom-up
+
+
 def ordered_bell(n: int) -> int:
-    """Number of ordered set partitions of [n], by direct recursion."""
-    if n == 0:
-        return 1
-    total = 0
-    for k in range(1, n + 1):
-        total += factorial(n) // (factorial(k) * factorial(n - k)) * ordered_bell(n - k)
-    return total
+    """Ordered set partitions of [n]: the sum over blocks m of m! S(n, m)."""
+    return sum(factorial(m) * stirling2(n, m) for m in range(n + 1))
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n == 0 or k > n:
+    """Stirling number of the second kind, by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    if not 0 <= k <= n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    for m in range(len(_STIRLING), n + 1):
+        prev = _STIRLING[-1]
+        _STIRLING.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, m)] + [1])
+    return _STIRLING[n][k]
 
 
 def class_data(mu: Partition) -> tuple[int, int]:

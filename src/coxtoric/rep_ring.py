@@ -7,8 +7,9 @@ the character side; converting back and forth goes through Murnaghan-Nakayama
 character values and provides an independent route for every product, which
 the test suite exploits as an oracle.
 
-RepSeries adjoins a polynomial variable t and truncates total degree, which is
-all the series identities here need.
+Series inverses come from one cached Pieri recurrence, even_series_inverse.
+RepSeries adjoins a variable t and truncates total degree; its general product
+and inverse (schur_multiply, h_expansion) are only the tests' reference.
 
 Every sum of coefficients by key goes through _summed. A value is an int unless
 a division or an input makes it rational: _exact, the one division (by n! in
@@ -216,6 +217,19 @@ def pieri_h(v: SchurVector, k: int) -> SchurVector:
 def pieri_e(v: SchurVector, k: int) -> SchurVector:
     """Induction product with the sign class e_k (vertical strips)."""
     return _pieri(v, k, _vertical_strips)
+
+
+@lru_cache(maxsize=None)
+def even_series_inverse(degree: int, pieri) -> SchurVector:
+    """Degree-d term R_d of (1 + sum over k >= 1 of x_{2k})^-1, where pieri(v, k)
+    multiplies by x_k (h_k for pieri_h, e_k for pieri_e): R_0 = 1 and
+    R_d = -(sum over even 2 <= k <= d of pieri(R_{d-k}, k))."""
+    if degree == 0:
+        return SchurVector.unit()
+    acc = SchurVector.zero(degree)
+    for part in range(2, degree + 1, 2):
+        acc = acc - pieri(even_series_inverse(degree - part, pieri), part)
+    return acc
 
 
 def omega(v: SchurVector) -> SchurVector:

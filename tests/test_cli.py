@@ -1,13 +1,15 @@
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from coxtoric import cli, cohomology, cup_product, poset_homology, wonderful_model
+from coxtoric import cli, cohomology, cup_product, poset_homology, rep_ring, wonderful_model
 from coxtoric.combinatorics import all_chains
-from coxtoric.rep_ring import ClassFunction, SchurVector
+from coxtoric.rep_ring import ClassFunction, RepSeries, SchurVector
 from coxtoric.wonderful_model import (
     ModelPoint,
     degeneration_witness,
@@ -249,6 +251,41 @@ def test_model_output_order_pinned(tmp_path, capsys):
         ([1, 2], [1, 2, 4]), ([1, 3], [1, 2, 3]), ([1, 3], [1, 3, 4]),
         ([1, 4], [1, 2, 4]), ([2, 3], [2, 3, 4]), ([2, 3], [2, 3, 4]),
         ([2, 4], [2, 3, 4]), ([3, 4], [2, 3, 4])]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# The five README poset commands at the default interval bound of 8, and the
+# series identity at the largest bound.
+POSET_ROUTE = ("verify-cohomology --N 8", "verify-poset-series --N 8", "poset-homology --n 8",
+               "whitney --n 8", "rep-table --n 8 --route poset",
+               "verify-poset-series --N 10 --bound 10")
+
+
+def test_commands_reach_no_general_product(monkeypatch, tmp_path, capsys):
+    """Every series inverse a command needs comes from even_series_inverse:
+    with schur_multiply, h_expansion and the RepSeries product and inverse
+    made to raise, the README commands and the poset-route commands print
+    what they print unpatched."""
+    text = README.read_text()
+    commands = [line.split("  #")[0].split()[1:] for line in text.splitlines()
+                if line.startswith("coxtoric ")]
+    assert len(commands) == 12
+    commands += [row.split() for row in POSET_ROUTE]
+    (tmp_path / "point.json").write_text(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a command reached the general Schur product")
+
+    with monkeypatch.context() as patch:
+        for owner, name in ((rep_ring, "schur_multiply"), (rep_ring, "h_expansion"),
+                            (RepSeries, "invert"), (RepSeries, "__mul__")):
+            patch.setattr(owner, name, unreachable)
+        rep_ring.even_series_inverse.cache_clear()
+        patched = [run_cli(capsys, *argv) for argv in commands]
+    rep_ring.even_series_inverse.cache_clear()
+    assert patched == [run_cli(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out for code, out, _ in patched)
 
 
 def test_unknown_command(capsys):

@@ -124,8 +124,7 @@ def test_induction_signs_validate_no_pieri_output(monkeypatch):
         return validated(n, entries, kind)
 
     monkeypatch.setattr(rep_ring, "_validated", counted)
-    cohomology.rep_via_induction.cache_clear()
-    cohomology._inverse_e.cache_clear()
+    rep_ring.even_series_inverse.cache_clear()
     reps = [rep_via_induction(14, i) for i in range(8)]
     assert [rep.dimension() for rep in reps] == [betti(14, i) for i in range(8)]
     assert sizes and max(sizes) <= 1

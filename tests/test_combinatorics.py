@@ -2,6 +2,8 @@ from math import comb, factorial
 
 import pytest
 
+from coxtoric import combinatorics
+from coxtoric.cohomology import betti
 from coxtoric.combinatorics import (
     all_chains,
     class_data,
@@ -14,6 +16,7 @@ from coxtoric.combinatorics import (
     stirling2,
     validate_chain,
 )
+from coxtoric.wonderful_model import euler_characteristic_cells
 
 from oracles import permutation_cycle_type, zigzag_numbers
 
@@ -92,6 +95,26 @@ def test_chain_totals_match_ordered_bell():
         assert total == ordered_bell(n)
         assert total == len(all_chains(n))
         assert total == sum(factorial(m) * stirling2(n, m) for m in range(1, n + 1))
+
+
+def test_cold_counts_do_not_recurse(monkeypatch):
+    """From empty tables, n = 600 is one bottom-up pass: a recursive cache
+    overflows the stack on a cold call from about n = 500."""
+    monkeypatch.setattr(combinatorics, "_STIRLING", [[1]])
+    assert euler_characteristic_cells(600) == sum((-1) ** i * betti(600, i) for i in range(301))
+    assert stirling2(600, 601) == stirling2(600, -1) == 0
+    monkeypatch.setattr(combinatorics, "_STIRLING", [[1]])
+    assert ordered_bell(600) > ordered_bell(599) > 0
+
+
+def test_ordered_bell_first_block_recurrence():
+    """a(n) = sum over k = 1..n of C(n, k) a(n - k), the first block having
+    k elements, and a(n) = 0 for n < 0."""
+    bell = [1]
+    for n in range(1, 80):
+        bell.append(sum(comb(n, k) * bell[n - k] for k in range(1, n + 1)))
+    assert [ordered_bell(n) for n in range(80)] == bell
+    assert ordered_bell(-1) == 0
 
 
 def test_chain_m_counts_match_stirling():

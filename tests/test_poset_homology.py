@@ -191,6 +191,29 @@ def test_verifier_rejects_a_dropped_pair():
         check_morse_certificate(6, _drop_one_pair(6))
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_matching_runs_without_cyclic_gc(monkeypatch, enabled):
+    """homology_ranks builds and checks the matching with cyclic gc paused,
+    and leaves gc as it found it, also when the check fails."""
+    seen = []
+    for name in ("build_interval_complex", "_chain_counts"):
+        real = getattr(poset_homology, name)
+        monkeypatch.setattr(poset_homology, name,
+                            lambda n, real=real: seen.append(gc.isenabled()) or real(n))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert homology_ranks.__wrapped__(6) == {3: 61}
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(poset_homology, "morse_certificate", _drop_one_pair)
+        with pytest.raises(ArithmeticError):
+            homology_ranks.__wrapped__(6)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4
+
+
 def test_dropped_pair_fails_homology_and_cli(monkeypatch, capsys):
     monkeypatch.setattr(poset_homology, "morse_certificate", _drop_one_pair)
     homology_ranks.cache_clear()

@@ -14,6 +14,7 @@ from coxtoric.rep_ring import (
     SchurVector,
     character_table,
     decompose,
+    even_series_inverse,
     h_expansion,
     irrep_dimension,
     omega,
@@ -236,6 +237,18 @@ def test_series_h_self_inverse():
     N = 8
     H = RepSeries(N, {(n, 0): S.h(n) for n in range(N + 1)})
     assert H * H.invert() == RepSeries.one(N)
+
+
+def test_even_series_inverse_matches_general_inverse():
+    """The one Pieri recurrence gives every cell of the general RepSeries
+    inverse through degree 12: the t^0 cells for the h-series, the t^(d/2)
+    cells for the e-series, and zero in odd degree."""
+    N = 12
+    for pieri, unit, tpow in ((pieri_h, S.h, lambda d: 0), (pieri_e, S.e, lambda d: d // 2)):
+        series = RepSeries(N, {(d, tpow(d)): unit(d) for d in range(0, N + 1, 2)})
+        expected = {(d, tpow(d)): even_series_inverse(d, pieri) for d in range(N + 1)}
+        assert series.invert().terms == {key: v for key, v in expected.items() if not v.is_zero()}
+        assert all(expected[(d, tpow(d))].is_zero() for d in range(1, N + 1, 2))
 
 
 def test_series_invert_rejects_bad_constant():
