@@ -251,6 +251,8 @@ def cmd_euler_check(config) -> int:
           Flag("point", type=str, help="path to a point JSON file, or - for stdin"),
           Flag("seed", 0, floor=None), Flag("trials", 50, ceiling=1000)))
 def cmd_model_check(config) -> int:
+    if config.point is not None and config.n is not None:
+        raise ValueError("model-check takes --point or --n, not both")
     if config.point is not None:
         if config.point == "-":
             data = json.load(sys.stdin)

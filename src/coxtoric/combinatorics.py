@@ -108,9 +108,14 @@ def all_chains(n: int) -> list[SubsetChain]:
 _STIRLING = [[1]]  # row n holds S(n, 0..n): stirling2 extends it bottom-up
 
 
+def ordered_chains(k: int, m: int) -> int:
+    """Chains from a k-set down to the empty set in m steps: m! * S(k, m)."""
+    return factorial(m) * stirling2(k, m)
+
+
 def ordered_bell(n: int) -> int:
     """Ordered set partitions of [n]: the sum over blocks m of m! S(n, m)."""
-    return sum(factorial(m) * stirling2(n, m) for m in range(n + 1))
+    return sum(ordered_chains(n, m) for m in range(n + 1))
 
 
 def stirling2(n: int, k: int) -> int:

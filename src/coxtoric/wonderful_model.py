@@ -9,28 +9,37 @@ subset chains, and each point admits an explicit one-parameter degeneration
 from the open torus, which degeneration_witness reconstructs and checks
 component by component.
 
-Membership is read off the orbit chain [n] = K_0 > K_1 > ... > K_m = {} of the
-vanishing recursion, K_{s+1} the zeros of v_{K_s}; the stage of a subset J is
-the last s with J <= K_s. A point is on the model exactly when every v_J is
-proportional to v_{K_s}|_J, s the stage of J. Necessity: J is not inside
-K_{s+1}, so v_{K_s}|_J != 0, and the pair (J, K_s) forces proportionality.
-Sufficiency: take I < J. If I has J's stage s, v_I and v_J|_I are both
-proportional to v_{K_s}|_I; if I lies deeper, v_J|_I is proportional to
-v_{K_s}|_I = 0. Both steps need nonzero components, which the constructor
-enforces. So a scan reads each component once, against its block, where the
-nested pairs number O(3^n). first_violation scans every nested pair in subset
+One stage rule reads a point. On the orbit chain [n] = K_0 > K_1 > ... > K_m
+= {}, K_{s+1} the zeros of v_{K_s}, the stage of a subset J is the last s with
+J <= K_s; the stage coordinates t take t_i from v_{K_s}, s the stage of i.
+_translate(chain, t), the chain's canonical point moved by t, has t_i at I's
+stage and 0 deeper in its I-component. The membership scan and
+degeneration_witness read _stage_coordinates; _translate builds the
+degeneration limit, the closure curve's sample, representative_point,
+torus_embedding and random_model_point.
+
+A point is on the model exactly when every v_J is proportional to
+v_{K_s}|_J, s the stage of J. Necessity: J is not inside K_{s+1}, so
+v_{K_s}|_J != 0, and the pair (J, K_s) forces proportionality. Sufficiency:
+take I < J. If I has J's stage s, v_I and v_J|_I are both proportional to
+v_{K_s}|_I; if I lies deeper, v_J|_I is proportional to v_{K_s}|_I = 0. Both
+steps need nonzero components, which the constructor enforces. So a scan
+reads each component once, against its block, where the nested pairs number
+O(3^n). The scan compares inline: p == _translate(chain, t) gives the same
+verdicts but took 112-120 ms of compute per model-geometry operation against
+51-57 ms (2-vCPU VM). first_violation scans every nested pair in subset
 order, in integers: each component is scaled by the lcm of its denominators,
 and each pair is compared against one pivot, the first nonzero entry of I.
+Comparing Fractions instead took 29-33 ms per full scan at n = 7, against 5-6.
 
 A ModelPoint is immutable, so the scan's result, the chain or None, is kept
 on it: is_on_model, orbit_of and degeneration_witness scan one point once,
 and orbit_of and degeneration_witness raise ValueError off the model.
 
 Every scan and serialization walks the nonempty subsets of [n] in one order,
-by size and then lexicographically, built once per n by _subsets.
+by size and then lexicographically, built once per n by _keys.
 random_model_point draws an index into all_chains(n) and unranks it, so no
-chain is enumerated for a draw, and builds the torus translate of the chain's
-canonical point directly, as representative_point and torus_embedding do.
+chain is enumerated for a draw.
 """
 
 from __future__ import annotations
@@ -38,38 +47,28 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from math import comb, factorial, lcm
+from math import comb, lcm
 
-from .combinatorics import (
-    SubsetChain,
-    ordered_bell,
-    stirling2,
-    validate_chain,
-)
-
-
-@lru_cache(maxsize=None)
-def _subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Nonempty subsets of [n] as sorted tuples, by size and then lex."""
-    ground = range(1, n + 1)
-    return tuple(sub for size in ground for sub in combinations(ground, size))
+from .combinatorics import SubsetChain, ordered_bell, ordered_chains, validate_chain
 
 
 @lru_cache(maxsize=None)
 def _keys(n: int) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
-    """(subset, its frozenset) for every nonempty subset of [n], in subset order."""
-    return tuple((sub, frozenset(sub)) for sub in _subsets(n))
+    """(subset as a sorted tuple, its frozenset) for every nonempty subset of
+    [n], by size and then lex."""
+    ground = range(1, n + 1)
+    return tuple((sub, frozenset(sub)) for size in ground for sub in combinations(ground, size))
 
 
 @lru_cache(maxsize=None)
 def _nested_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]], ...]:
     """(I, J, positions of I inside J) for every I < J with |I| >= 2, both in
     subset order; a singleton I has no 2x2 minor to test."""
-    subsets = _subsets(n)
+    keys = _keys(n)
     return tuple(
-        (frozenset(small), frozenset(big), tuple(big.index(i) for i in small))
-        for small in subsets if len(small) > 1
-        for big in subsets if len(big) > len(small) and set(small) <= set(big))
+        (small_key, big_key, tuple(big.index(i) for i in small))
+        for small, small_key in keys if len(small) > 1
+        for big, big_key in keys if len(big) > len(small) and small_key <= big_key)
 
 
 class ModelPoint:
@@ -108,7 +107,7 @@ class ModelPoint:
         for i in range(1, n + 1):
             comps.setdefault(frozenset([i]), (1,))
         if len(comps) < 2 ** n - 1:
-            missing = next(sub for sub in _subsets(n) if frozenset(sub) not in comps)
+            missing = next(sub for sub, key in _keys(n) if key not in comps)
             raise ValueError(f"missing component {list(missing)}")
         self.components = comps
 
@@ -123,10 +122,6 @@ class ModelPoint:
     def component(self, subset) -> tuple:
         return self.components[frozenset(subset)]
 
-    def coordinate(self, subset, i: int):
-        subset = sorted(frozenset(subset))
-        return self.components[frozenset(subset)][subset.index(i)]
-
     def __eq__(self, other) -> bool:
         """Projective equality: every component proportional to its twin."""
         if not isinstance(other, ModelPoint) or self.n != other.n:
@@ -138,8 +133,8 @@ class ModelPoint:
 
     def to_json(self) -> dict:
         return {"n": self.n, "components": [
-            {"subset": list(sub), "coords": [str(c) for c in self.component(sub)]}
-            for sub in _subsets(self.n)]}
+            {"subset": list(sub), "coords": [str(c) for c in self.components[key]]}
+            for sub, key in _keys(self.n)]}
 
     @staticmethod
     def from_json(data, max_n: int | None = None) -> "ModelPoint":
@@ -241,22 +236,20 @@ def _scan(p: ModelPoint):
 def _chain_on_model(p: ModelPoint):
     """The orbit chain if every component is proportional to its stage block
     restricted to it (see the module docstring), else None. With a the first
-    element of the subset at its stage s, u = v_{K_s} has u[a] != 0, so that
-    asks u[a]*v[i] == u[i]*v[a] for i at stage s and v[i] == 0 deeper."""
+    element of the subset at its stage, t the stage coordinates and t_a != 0,
+    that asks t_a*v[i] == t_i*v[a] for i at the stage and v[i] == 0 deeper."""
     chain = _orbit(p)
-    stage, u = _stages(chain), {}
-    for K in chain[:-1]:  # deeper blocks overwrite: u[i] is read at i's stage
-        u.update(zip(sorted(K), p.components[K]))
+    stage, t = _stages(chain), _stage_coordinates(p, chain)
     for sub, key in _keys(p.n):
         s = min(map(stage.__getitem__, sub))
-        ua = None
+        ta = None
         for i, c in zip(sub, p.components[key]):
             if stage[i] != s:
                 if c:
                     return None
-            elif ua is None:
-                ua, va = u[i], c
-            elif ua * c != u[i] * va:
+            elif ta is None:
+                ta, va = t[i - 1], c
+            elif ta * c != t[i - 1] * va:
                 return None
     return chain
 
@@ -270,18 +263,25 @@ def _stages(chain: SubsetChain) -> list[int]:
     return stage
 
 
+def _stage_coordinates(p: ModelPoint, chain: SubsetChain) -> tuple:
+    """Stage coordinates: t_i is entry i of v_{K_s}, s the stage of i, nonzero
+    as K_{s+1} holds that component's zeros. On the model p is _translate(chain, t)."""
+    t = [None] * p.n
+    for K in chain[:-1]:  # deeper blocks overwrite: t_i is read at i's stage
+        for i, c in zip(sorted(K), p.components[K]):
+            t[i - 1] = c
+    return tuple(t)
+
+
 def _orbit(p: ModelPoint) -> SubsetChain:
     """Chain of vanishing loci: K_{l+1} collects the zero coordinates of the
     K_l component, stopping at the first block with no zeros. Membership is
     not checked."""
     chain = [frozenset(range(1, p.n + 1))]
-    while True:
-        current = chain[-1]
-        coords = p.components[current]
-        zeros = frozenset(i for i, c in zip(sorted(current), coords) if c == 0)
-        chain.append(zeros)
-        if not zeros:
-            return tuple(chain)
+    while chain[-1]:
+        K = chain[-1]
+        chain.append(frozenset(i for i, c in zip(sorted(K), p.components[K]) if c == 0))
+    return tuple(chain)
 
 
 def representative_point(chain: SubsetChain) -> ModelPoint:
@@ -303,48 +303,34 @@ def _translate(chain: SubsetChain, t: tuple) -> ModelPoint:
     return ModelPoint._of(len(chain[0]), comps)
 
 
-def _limit(sub, terms) -> tuple:
-    """Limit at t = 0 of the curve i -> coeff * t^power on sub, where terms[i]
-    is (coeff, power), over its lowest power; indices without a term are 0."""
-    low = min(terms[i][1] for i in sub if i in terms)
-    return tuple(terms[i][0] if i in terms and terms[i][1] == low else 0 for i in sub)
-
-
 def degeneration_witness(p: ModelPoint) -> dict:
-    """Reconstruct the one-parameter family q(t) whose limit at t = 0 is p.
+    """Reconstruct the one-parameter family q(x) whose limit at x = 0 is p.
 
-    Entries of q(t) are monomials: coordinate i gets t^s times the i-th entry
-    of the K_s component, where K_s is the last chain block containing i. For
-    every subset I the restriction of q(t), divided by its minimal t-power and
-    evaluated at t = 0, must equal the I-component of p projectively. The
-    report lists each component comparison; any failure names its subset.
+    Coordinate i of q(x) is t_i * x^(s+1), t the stage coordinates of p and s
+    the stage of i. On a subset I the lowest power is 1 + the stage of I, so
+    q(x)|_I over that power at x = 0 keeps exactly the entries at I's stage:
+    the limit is the I-component of _translate(chain, t), and it must equal
+    v_I projectively. The report lists each component comparison; any
+    failure names its subset.
     """
     chain = orbit_of(p)
-    blocks = chain[:-1]
-    entries: dict[int, tuple] = {}
-    for s, K in enumerate(blocks):
-        for i in sorted(K - chain[s + 1]):
-            entries[i] = (p.coordinate(K, i), s + 1)
-    assert all(coeff != 0 for coeff, _ in entries.values())
-
+    stage, t = _stages(chain), _stage_coordinates(p, chain)
+    limits = _translate(chain, t).components
     components = []
-    all_ok = True
-    for sub in _subsets(p.n):
-        limit = _limit(sub, entries)
-        target = p.component(sub)
-        ok = projectively_equal(limit, target)
-        all_ok = all_ok and ok
+    for sub, key in _keys(p.n):
+        limit, target = limits[key], p.components[key]
         components.append({
             "subset": list(sub),
             "limit": [str(c) for c in limit],
             "target": [str(c) for c in target],
-            "ok": ok,
+            "ok": projectively_equal(limit, target),
         })
     return {
         "chain": [sorted(b) for b in chain],
-        "family": {i: {"coeff": str(c), "power": s} for i, (c, s) in sorted(entries.items())},
+        "family": {i: {"coeff": str(t[i - 1]), "power": stage[i] + 1}
+                   for i in range(1, p.n + 1)},
         "components": components,
-        "ok": all_ok,
+        "ok": all(c["ok"] for c in components),
     }
 
 
@@ -393,31 +379,24 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     """Explicit curve inside the coarse orbit whose limit is the canonical
     point of the refining chain.
 
-    Each coordinate of the curve is a monomial: on the block K_s of the coarse
-    chain, index i carries t^(stage of i in the fine chain) away from K_{s+1}
-    and 0 on it. Since entries are monomials, the zero pattern is the same for
-    all t != 0, so evaluating at one nonzero t verifies the whole punctured
-    family; the limit divides each component by its minimal t-power.
+    The curve is _translate(coarse, (x^(f_i + 1))_i), f_i the stage of i in
+    the fine chain: monomials at each subset's coarse stage, 0 deeper. The
+    zero pattern is the same for all x != 0, so one sample at x = 1/2 checks
+    the punctured family. The limit divides each component by its lowest
+    power, so it keeps the sample's largest entries, as 1, and 0 elsewhere.
     """
     if not closure_refinement(fine, coarse):
         raise ValueError("first chain must refine the second")
-    n = len(coarse[0])
-    fine_stage, coarse_stage = _stages(fine), _stages(coarse)
-
+    fine_stage = _stages(fine)
+    sample = _translate(coarse, tuple(Fraction(1, 2 ** (s + 1)) for s in fine_stage[1:]))
     target = representative_point(fine)
-    t0 = Fraction(1, 2)
-    sample_comps = {}
-    limit_ok = True
     components = []
-    for sub, s in _keys(n):
-        top = min(map(coarse_stage.__getitem__, sub))
-        terms = {i: (1, fine_stage[i] + 1) for i in sub if coarse_stage[i] == top}
-        sample_comps[s] = tuple(t0 ** terms[i][1] if i in terms else 0 for i in sub)
-        ok = projectively_equal(_limit(sub, terms), target.components[s])
-        limit_ok = limit_ok and ok
-        if len(sub) > 1:
-            components.append({"subset": list(sub), "ok": ok})
-    sample = ModelPoint(n, sample_comps)
+    for sub, key in _keys(sample.n)[sample.n:]:  # a singleton's limit is (1,)
+        coords = sample.components[key]
+        lead = max(coords)  # 1/2^power is largest at the lowest power
+        ok = projectively_equal(tuple(int(c == lead) for c in coords), target.components[key])
+        components.append({"subset": list(sub), "ok": ok})
+    limit_ok = all(c["ok"] for c in components)
     on_model = is_on_model(sample)
     in_orbit = on_model and _scan(sample) == coarse
     return {
@@ -431,18 +410,13 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     }
 
 
-def _ordered(k: int, m: int) -> int:
-    """Chains from a k-set down to the empty set in m steps: m! * S(k, m)."""
-    return factorial(m) * stirling2(k, m)
-
-
 def euler_characteristic_cells(n: int) -> int:
     """Compactly supported Euler characteristic summed over orbits: the
     m! * S(n, m) chains with m+1 blocks each contribute (-2)^(n-m), one
     factor -2 per real 1-torus."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(_ordered(n, m) * (-2) ** (n - m) for m in range(1, n + 1))
+    return sum(ordered_chains(n, m) * (-2) ** (n - m) for m in range(1, n + 1))
 
 
 def random_torus_element(n: int, rng) -> tuple[Fraction, ...]:
@@ -462,19 +436,21 @@ def random_permutation(n: int, rng) -> tuple[int, ...]:
 def unrank_chain(n: int, r: int) -> SubsetChain:
     """all_chains(n)[r] without enumerating it: the chains come by m, then
     each next block by descending size, then lexicographically."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if not 0 <= r < ordered_bell(n):
         raise ValueError(f"chain index {r} out of range for n = {n}")
     m = 1
-    while r >= _ordered(n, m):
-        r, m = r - _ordered(n, m), m + 1
+    while r >= ordered_chains(n, m):
+        r, m = r - ordered_chains(n, m), m + 1
     elems = tuple(range(1, n + 1))
     chain = [frozenset(elems)]
     for steps in range(m - 1, 0, -1):
         size = len(elems) - 1
-        while r >= comb(len(elems), size) * _ordered(size, steps):
-            r -= comb(len(elems), size) * _ordered(size, steps)
+        while r >= comb(len(elems), size) * ordered_chains(size, steps):
+            r -= comb(len(elems), size) * ordered_chains(size, steps)
             size -= 1
-        index, r = divmod(r, _ordered(size, steps))
+        index, r = divmod(r, ordered_chains(size, steps))
         elems = next(islice(combinations(elems, size), index, None))
         chain.append(frozenset(elems))
     return (*chain, frozenset())

@@ -430,6 +430,19 @@ def test_failed_invariance_reaches_the_report(monkeypatch, capsys):
     assert json.loads(out)["failures"] == report["failures"]
 
 
+@pytest.mark.parametrize("n", ["3", "5"])
+def test_model_check_point_and_n_refused(tmp_path, capsys, n):
+    """--n is not read with a point file, so it is refused, whether or not it
+    equals the point's n."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(README_POINT))
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path), "--n", n)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "model-check takes --point or --n, not both"}
+
+
 def test_model_check_missing_args(capsys):
     code, _, err = run_cli(capsys, "model-check")
     assert code == 2

@@ -11,6 +11,7 @@ from coxtoric.combinatorics import (
     cycle_type_representative,
     enumerate_chains,
     ordered_bell,
+    ordered_chains,
     partitions_of,
     secant_numbers,
     stirling2,
@@ -120,7 +121,8 @@ def test_ordered_bell_first_block_recurrence():
 def test_chain_m_counts_match_stirling():
     for n in range(1, 7):
         for m in range(1, n + 1):
-            assert len(enumerate_chains(n, m)) == factorial(m) * stirling2(n, m)
+            count = len(enumerate_chains(n, m))
+            assert count == ordered_chains(n, m) == factorial(m) * stirling2(n, m)
 
 
 def test_enumerate_chains_bounds():

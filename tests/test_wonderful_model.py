@@ -277,6 +277,37 @@ def test_random_draws_pinned():
         "8a66e512968314184a429257d7db01a5412691fb94db7b6c0f30998a08dd4eb5")
 
 
+def test_witnesses_pinned():
+    """Every degeneration witness on the canonical point and one seeded torus
+    translate of each chain, and every closure curve witness on a refining
+    pair, for n <= 4: the digests pin both reports in full."""
+    def sha(data):
+        return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+    witnesses = []
+    for n in range(1, 5):
+        rng = random.Random(n)
+        for chain in all_chains(n):
+            rep = representative_point(chain)
+            witnesses.append(degeneration_witness(rep))
+            witnesses.append(degeneration_witness(torus_act(random_torus_element(n, rng), rep)))
+    assert sha(witnesses) == (
+        "66714acf67ff43f81c007e956641750528d4910383a21a392bd82b903b7d769e")
+    curves = [closure_curve_witness(a, b) for n in range(1, 5)
+              for a in all_chains(n) for b in all_chains(n) if closure_refinement(a, b)]
+    assert len(curves) == 408
+    assert sha(curves) == (
+        "0ef672ae99a40c800ba8b59885c9c09fa78213b02ff224017342afaf63fc2d51")
+
+
+def test_no_chain_for_empty_ground_set():
+    """ordered_bell(0) == 1 admits index 0, but no chain has n = 0."""
+    with pytest.raises(ValueError):
+        unrank_chain(0, 0)
+    with pytest.raises(ValueError):
+        random_model_point(0, random.Random(0))
+
+
 def test_representative_round_trip():
     for n in (2, 3, 4):
         for chain in all_chains(n):
