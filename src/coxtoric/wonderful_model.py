@@ -26,11 +26,16 @@ v_{K_s}|_I; if I lies deeper, v_J|_I is proportional to v_{K_s}|_I = 0. Both
 steps need nonzero components, which the constructor enforces. So a scan
 reads each component once, against its block, where the nested pairs number
 O(3^n). The scan compares inline: p == _translate(chain, t) gives the same
-verdicts but took 112-120 ms of compute per model-geometry operation against
-51-57 ms (2-vCPU VM). first_violation scans every nested pair in subset
-order, in integers: each component is scaled by the lcm of its denominators,
-and each pair is compared against one pivot, the first nonzero entry of I.
-Comparing Fractions instead took 29-33 ms per full scan at n = 7, against 5-6.
+verdicts but took 26-37 ms of compute per model-geometry operation against
+18-26 (2-vCPU VM). first_violation scans every nested pair in subset order,
+in integers: each component is scaled by the lcm of its denominators, and
+each pair is compared against I's first nonzero entry; unscaled Fractions
+took 17-35 ms per full scan at n = 7, against 3-4.
+
+Comparisons build no Fraction: _products_equal decides a*b == c*d by integer
+cross-products, exact as denominators are positive, at once on shared
+operands. ModelPoint parses each distinct coordinate string once per
+construction; the exponent and zero-denominator checks still see every string.
 
 A ModelPoint is immutable, so the scan's result, the chain or None, is kept
 on it: is_on_model, orbit_of and degeneration_witness scan one point once,
@@ -87,7 +92,7 @@ class ModelPoint:
             raise ValueError("n must be positive")
         self.n = n
         ground = frozenset(range(1, n + 1))
-        comps: dict[frozenset, tuple] = {}
+        comps, parsed = {}, {}  # parsed: each distinct string, once per construction
         for subset, coords in components.items():
             subset = frozenset(subset)
             if not subset or not subset <= ground:
@@ -96,7 +101,8 @@ class ModelPoint:
                 raise ValueError(f"component {sorted(subset)} has a coordinate with an "
                                  "exponent; coordinates are exact rationals")
             try:
-                coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coords)
+                coords = tuple(c if type(c) in (int, Fraction) else parsed[c] if c in parsed
+                               else parsed.setdefault(c, Fraction(c)) for c in coords)
             except ZeroDivisionError:
                 raise ValueError("a coordinate has a zero denominator") from None
             if len(coords) != len(subset):
@@ -175,8 +181,14 @@ def _minors_vanish(u, v) -> bool:
     """
     for ua, va in zip(u, v):
         if ua:
-            return all(ua * vb == ub * va for ub, vb in zip(u, v))
+            return all(_products_equal(ua, vb, ub, va) for ub, vb in zip(u, v))
     return True
+
+
+def _products_equal(a, b, c, d) -> bool:
+    """a*b == c*d for ints and Fractions; no product when a is d and b is c."""
+    return a is d and b is c or (a.numerator * b.numerator * c.denominator * d.denominator
+                                 == c.numerator * d.numerator * a.denominator * b.denominator)
 
 
 def _integral(coords) -> tuple[int, ...]:
@@ -202,9 +214,10 @@ def first_violation(p: ModelPoint):
     or None when the point is on the model. Pairs are scanned in subset order,
     I first, then J."""
     comps = {subset: _integral(coords) for subset, coords in p.components.items()}
+    pivots = {subset: next(k for k, c in enumerate(u) if c) for subset, u in comps.items()}
     for small, big, inner in _nested_pairs(p.n):
-        v = comps[big]
-        if not _minors_vanish(comps[small], tuple(v[k] for k in inner)):
+        u, v, a = comps[small], comps[big], pivots[small]
+        if any(u[a] * v[k] != ub * v[inner[a]] for ub, k in zip(u, inner)):
             return (sorted(small), sorted(big))
     return None
 
@@ -249,7 +262,7 @@ def _chain_on_model(p: ModelPoint):
                     return None
             elif ta is None:
                 ta, va = t[i - 1], c
-            elif ta * c != t[i - 1] * va:
+            elif not _products_equal(ta, c, t[i - 1], va):
                 return None
     return chain
 
@@ -299,7 +312,7 @@ def _translate(chain: SubsetChain, t: tuple) -> ModelPoint:
     comps = {}
     for sub, key in _keys(len(chain[0])):
         top = min(map(stage.__getitem__, sub))
-        comps[key] = tuple(t[i - 1] if stage[i] == top else 0 for i in sub)
+        comps[key] = tuple([t[i - 1] if stage[i] == top else 0 for i in sub])
     return ModelPoint._of(len(chain[0]), comps)
 
 
@@ -335,10 +348,12 @@ def degeneration_witness(p: ModelPoint) -> dict:
 
 
 def torus_act(t, p: ModelPoint) -> ModelPoint:
-    """Coordinatewise scaling of every component by the torus element t."""
-    t = _torus_element(t, p.n)
+    """Coordinatewise scaling of every component by the torus element t; each
+    product t_i * c (nonzero) is formed once per position i and object c."""
+    t, products = _torus_element(t, p.n), {}
     return ModelPoint._of(p.n, {
-        key: tuple(t[i - 1] * c if c else c for i, c in zip(sub, p.components[key]))
+        key: tuple([products.get((i, id(c))) or products.setdefault((i, id(c)), t[i - 1] * c)
+                    if c else c for i, c in zip(sub, p.components[key])])
         for sub, key in _keys(p.n)})
 
 

@@ -170,6 +170,23 @@ def exponential_specialization(N: int = 8) -> list[dict]:
 # Model geometry
 
 
+def rank_at_most_one(u, v) -> bool:
+    """Every 2x2 minor u[a]*v[b] - u[b]*v[a], a < b, is zero, as a Fraction."""
+    return all(Fraction(u[a]) * v[b] - Fraction(u[b]) * v[a] == 0
+               for a in range(len(u)) for b in range(a + 1, len(u)))
+
+
+def on_model_by_minors(p: ModelPoint) -> bool:
+    """Every nested pair I < J of components, J's restricted to I, has rank
+    at most one: the defining equations, with no orbit chain."""
+    for small, u in p.components.items():
+        for big, v in p.components.items():
+            if small < big and not rank_at_most_one(
+                    u, [v[sorted(big).index(i)] for i in sorted(small)]):
+                return False
+    return True
+
+
 def satisfies_closure_equations(p: ModelPoint, chain: SubsetChain) -> bool:
     """Closed conditions holding identically on the orbit of the chain.
 

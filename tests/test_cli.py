@@ -443,6 +443,44 @@ def test_model_check_point_and_n_refused(tmp_path, capsys, n):
     assert json.loads(lines[0]) == {"error": "model-check takes --point or --n, not both"}
 
 
+@pytest.mark.parametrize("flags", [("--trials", "5"), ("--seed", "3"),
+                                   ("--trials", "5", "--seed", "3"), ("--seed", "0")])
+def test_model_check_point_and_randomized_flags_refused(tmp_path, capsys, flags):
+    """--trials and --seed shape the randomized run, which a point file does
+    not make, so either is refused with --point, even at its default value."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(README_POINT))
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path), *flags)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": f"model-check takes --point or {flags[0]}, not both"}
+
+
+def test_model_check_repeated_zero_denominator(tmp_path, capsys):
+    """A "1/0" in several components exits 2 on every run: no parse is kept
+    from one run, or one construction, to the next."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"n": 3, "components": [
+        {"subset": [1, 2, 3], "coords": ["1", "1/0", "1/0"]},
+        {"subset": [1, 2], "coords": ["1/0", "2"]}]}))
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "model-check", "--point", str(path))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "zero denominator" in json.loads(lines[0])["error"]
+
+
+def test_model_check_randomized_defaults(capsys):
+    """Without --trials and --seed the randomized run takes 50 trials from
+    seed 0, and prints the same report as with both given."""
+    code, out, _ = run_cli(capsys, "model-check", "--n", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["trials"], payload["seed"]) == (50, 0)
+    assert run_cli(capsys, "model-check", "--n", "3", "--trials", "50", "--seed", "0")[1] == out
+
+
 def test_model_check_missing_args(capsys):
     code, _, err = run_cli(capsys, "model-check")
     assert code == 2

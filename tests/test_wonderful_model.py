@@ -30,7 +30,7 @@ from coxtoric.wonderful_model import (
     unrank_chain,
 )
 
-from oracles import satisfies_closure_equations
+from oracles import on_model_by_minors, rank_at_most_one, satisfies_closure_equations
 
 FULL3 = frozenset({1, 2, 3})
 
@@ -217,6 +217,44 @@ def test_chain_membership_on_every_chain_of_5():
     assert verdicts == {True, False} and moved_on_model > 0
 
 
+def test_comparisons_match_the_minors_oracle():
+    """Seeded points at n <= 6, as drawn (components share coordinate
+    objects) and with each component rescaled (none shared), bent in one
+    coordinate: zeroed, doubled, shifted by 1. The scan agrees with the
+    defining equations, and _minors_vanish with the Fraction minors on every
+    component against its unbent twin and on every nested pair."""
+    rng = random.Random(29)
+    bends = (lambda c: 0, lambda c: 2 * c, lambda c: c + 1)
+    verdicts, pair_verdicts = set(), set()
+    for n in range(2, 7):
+        for _ in range(4):
+            drawn = random_model_point(n, rng)
+            rescaled = ModelPoint(n, {
+                s: tuple(k * c for c in coords) for s, coords in drawn.components.items()
+                for k in [Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))]})
+            for p in (drawn, rescaled):
+                for bend in bends:
+                    subset = rng.choice(sorted((s for s in p.components if len(s) > 1),
+                                               key=sorted))
+                    coords = list(p.components[subset])
+                    k = rng.randrange(len(coords))
+                    coords[k] = bend(coords[k])
+                    if not any(coords):
+                        continue
+                    q = ModelPoint(n, {**p.components, subset: tuple(coords)})
+                    expected = on_model_by_minors(q)
+                    assert is_on_model(q) == expected
+                    verdicts.add(expected)
+                    pairs = [(u, p.components[s]) for s, u in q.components.items()]
+                    pairs += [(q.components[small], [q.components[big][j] for j in inner])
+                              for small, big, inner in wonderful_model._nested_pairs(n)]
+                    for u, v in pairs:
+                        expected = rank_at_most_one(u, v)
+                        assert wonderful_model._minors_vanish(u, v) == expected
+                        pair_verdicts.add(expected)
+    assert verdicts == pair_verdicts == {True, False}
+
+
 def test_one_scan_per_point(monkeypatch):
     calls = []
     scan = wonderful_model._chain_on_model
@@ -244,6 +282,21 @@ def test_translate_is_torus_act_on_the_canonical_point():
     for bad in ((), (1, 0, 2), ("0",), (Fraction(0), 1)):
         with pytest.raises(ValueError):
             torus_embedding(bad)
+
+
+def test_torus_act_on_unshared_coordinates():
+    """Each component rescaled by its own rational, so that a position holds
+    a different coordinate object in each component: every entry is still
+    t_i * c, of the same type."""
+    rng = random.Random(31)
+    for n in range(2, 6):
+        p = random_model_point(n, rng)
+        q = ModelPoint(n, {s: tuple(k * c for c in coords) for s, coords in p.components.items()
+                           for k in [Fraction(rng.randint(1, 9), rng.randint(1, 9))]})
+        t = random_torus_element(n, rng)
+        expected = {s: tuple(t[i - 1] * c if c else c for i, c in zip(sorted(s), coords))
+                    for s, coords in q.components.items()}
+        assert _typed(torus_act(t, q)) == _typed(ModelPoint(n, expected))
 
 
 def test_unrank_chain_matches_enumeration():
@@ -445,6 +498,9 @@ def test_model_point_validation():
 def test_coordinate_strings():
     p = point3(("-2", "1/3", "0.5"), (1, 2), ("0", 1), (0, 1))
     assert p.component(FULL3) == (-2, Fraction(1, 3), Fraction(1, 2))
+    q = point3(("1/2", "2/4", "0.5"), ("-3/6", "-0.5"), ("0/7", "2/2"), (1, "1.0"))
+    assert q.component(FULL3) == (Fraction(1, 2),) * 3 and q.component({1, 2}) == (-0.5, -0.5)
+    assert q.component({1, 3}) == (0, 1) and q.component({2, 3}) == (1, 1)
     for bad in ("1e2", "1E-2", "2/0", "x"):
         with pytest.raises(ValueError):
             point3(("1", bad, "1"), (1, 2), (0, 1), (0, 1))
@@ -455,3 +511,47 @@ def test_json_round_trip():
     data = p.to_json()
     assert data["components"][0] == {"subset": [1], "coords": ["1"]}
     assert ModelPoint.from_json(data) == p
+
+
+def test_each_distinct_string_parsed_once(monkeypatch):
+    """One construction parses each distinct coordinate string once, equal
+    strings share one coordinate, and nothing is kept for the next
+    construction, which parses them all again into fresh coordinates."""
+    data = random_model_point(6, random.Random(3)).to_json()
+    strings = [c for entry in data["components"] for c in entry["coords"]]
+    assert len(set(strings)) < len(strings)
+    parses = []
+
+    def counting(value):
+        parses.append(value)
+        return Fraction(value)
+
+    monkeypatch.setattr(wonderful_model, "Fraction", counting)
+    points = []
+    for _ in range(2):
+        parses.clear()
+        points.append(ModelPoint.from_json(data))
+        assert sorted(parses) == sorted(set(strings))
+    monkeypatch.undo()
+    first, second = ({id(c) for coords in p.components.values() for c in coords} for p in points)
+    assert len(first) == len(second) == len(set(strings)) and not first & second
+    assert first_violation(points[0]) is None and points[0] == points[1]
+
+
+def test_parse_keeps_every_refusal():
+    """A repeated zero denominator is refused on every construction; an
+    exponent is refused wherever it first appears, and ahead of a zero
+    denominator in the same component."""
+    ok = {"subset": [1, 2], "coords": ["2", "1/3"]}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero denominator"):
+            ModelPoint.from_json({"n": 3, "components": [
+                ok, {"subset": [1, 3], "coords": ["1/0", "1"]},
+                {"subset": [1, 2, 3], "coords": ["1/0", "1/0", "2"]}]})
+    for bad in ("2e0", "1E-2"):
+        with pytest.raises(ValueError, match="exponent"):
+            ModelPoint.from_json({"n": 3, "components": [
+                ok, {"subset": [1, 3], "coords": ["2", bad]}]})
+    with pytest.raises(ValueError, match="exponent"):
+        ModelPoint.from_json({"n": 2, "components": [
+            {"subset": [1, 2], "coords": ["1/0", "1e5"]}]})
