@@ -77,11 +77,6 @@ def _pairings(i: int, j: int, k: int, l: int) -> tuple:
     return (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
 
 
-def basis_keys(n: int) -> list[tuple]:
-    """The three disjoint pairings of every 4-subset of [n]."""
-    return [key for four in combinations(range(1, n + 1), 4) for key in _pairings(*four)]
-
-
 def cup_span_dimension(n: int) -> int:
     """Dimension of the span of all products of degree-one classes.
 

@@ -13,8 +13,8 @@ and inverse (schur_multiply, h_expansion) are only the tests' reference.
 
 Every sum of coefficients by key goes through _summed. A value is an int unless
 a division or an input makes it rational: _exact, the one division (by n! in
-decompose and inner), returns an int when the quotient is whole, and the
-validating constructor keeps ints and Fractions and reads the rest as Fractions.
+decompose), returns an int when the quotient is whole, and the validating
+constructor keeps ints and Fractions and reads the rest as Fractions.
 
 Two constructors build a SchurVector. The public SchurVector(n, coeffs) and
 scale validate: every key must be a partition of n, and every coefficient is
@@ -96,16 +96,6 @@ class SchurVector:
     @staticmethod
     def zero(n: int) -> "SchurVector":
         return SchurVector(n, {})
-
-    @staticmethod
-    def h(k: int) -> "SchurVector":
-        """Class of the trivial module of S_k."""
-        return SchurVector(k, {(k,) if k else (): 1})
-
-    @staticmethod
-    def e(k: int) -> "SchurVector":
-        """Class of the sign module of S_k."""
-        return SchurVector(k, {(1,) * k: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -288,22 +278,8 @@ class ClassFunction:
         self.n = n
         self.values = _validated(n, values, "cycle type")
 
-    @staticmethod
-    def trivial(n: int) -> "ClassFunction":
-        return ClassFunction(n, {mu: 1 for mu in partitions_of(n)})
-
-    @staticmethod
-    def sign(n: int) -> "ClassFunction":
-        return ClassFunction(n, {mu: (-1) ** (n - len(mu)) for mu in partitions_of(n)})
-
     def __call__(self, mu: Partition):
         return self.values.get(tuple(mu), 0)
-
-    def inner(self, other: "ClassFunction"):
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return _exact(sum(self(mu) * other(mu) * class_data(mu)[1]
-                          for mu in partitions_of(self.n)), factorial(self.n))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)

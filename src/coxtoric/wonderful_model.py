@@ -125,9 +125,6 @@ class ModelPoint:
         point.n, point.components = n, comps
         return point
 
-    def component(self, subset) -> tuple:
-        return self.components[frozenset(subset)]
-
     def __eq__(self, other) -> bool:
         """Projective equality: every component proportional to its twin."""
         if not isinstance(other, ModelPoint) or self.n != other.n:

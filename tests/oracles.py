@@ -4,13 +4,19 @@ Each oracle reaches its answer by a route of its own: none is rewritten to
 call the code it checks, so a test that compares the two compares
 independent computations. The file name does not match pytest's test_*.py
 pattern, so it is imported by the tests and never collected itself.
+
+It also holds the constructors only the tests use: the classes h_k and e_k,
+the trivial and sign characters, the character inner product, and the
+pairing basis of the cup span. The package keeps only what its commands run
+(tests/test_reachability.py enforces that).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, factorial
 
 from coxtoric.cohomology import betti, cohomology_series_poset
 from coxtoric.combinatorics import Partition, partitions_of, validate_chain
@@ -79,6 +85,36 @@ def boundary_product_is_zero(cols_d, cols_dm1) -> bool:
 
 
 # Representation ring
+
+
+def h(k: int) -> SchurVector:
+    """Class of the trivial module of S_k."""
+    return SchurVector(k, {(k,) if k else (): 1})
+
+
+def e(k: int) -> SchurVector:
+    """Class of the sign module of S_k."""
+    return SchurVector(k, {(1,) * k: 1})
+
+
+def trivial_character(n: int) -> ClassFunction:
+    return ClassFunction(n, {mu: 1 for mu in partitions_of(n)})
+
+
+def sign_character(n: int) -> ClassFunction:
+    return ClassFunction(n, {mu: (-1) ** (n - len(mu)) for mu in partitions_of(n)})
+
+
+def inner_product(f: ClassFunction, g: ClassFunction):
+    """<f, g> = sum over cycle types mu of f(mu) g(mu) / z_mu, with the
+    centralizer order z_mu = prod over parts i of i^(m_i) m_i! computed here."""
+    total = Fraction(0)
+    for mu in partitions_of(f.n):
+        z = 1
+        for part, mult in Counter(mu).items():
+            z *= part ** mult * factorial(mult)
+        total += Fraction(f(mu) * g(mu), z)
+    return total
 
 
 def class_induction_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
@@ -207,6 +243,13 @@ def satisfies_closure_equations(p: ModelPoint, chain: SubsetChain) -> bool:
 
 
 # Cup products
+
+
+def pairing_basis(n: int) -> list[tuple]:
+    """The three disjoint pairings ((a, b), (c, d)), a < b, c < d, a < c, of
+    every 4-subset of [n]."""
+    return [pairing for i, j, k, l in combinations(range(1, n + 1), 4)
+            for pairing in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))]
 
 
 def permute_degree_one(w, pair) -> tuple[tuple[int, int], int]:

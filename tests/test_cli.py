@@ -1,15 +1,14 @@
 import hashlib
+import io
 import json
-import re
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from coxtoric import cli, cohomology, cup_product, poset_homology, rep_ring, wonderful_model
+from coxtoric import cli, cohomology, cup_product, poset_homology, wonderful_model
 from coxtoric.combinatorics import all_chains
-from coxtoric.rep_ring import ClassFunction, RepSeries, SchurVector
+from coxtoric.rep_ring import SchurVector
 from coxtoric.wonderful_model import (
     ModelPoint,
     degeneration_witness,
@@ -17,6 +16,8 @@ from coxtoric.wonderful_model import (
     representative_point,
     torus_act,
 )
+
+from oracles import trivial_character
 
 
 def run_cli(capsys, *args):
@@ -125,6 +126,7 @@ def test_out_of_bounds(capsys):
     ["model-check", "--n", "4", "--trials", "-5"],
     ["poset-homology", "--n", "4", "--bound", "12"],
     ["betti-table", "--n", "4", "--bound", "-2"],
+    ["model-check", "--n", "3", "--trials", "0"],
 ])
 def test_out_of_domain_integers(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -253,41 +255,6 @@ def test_model_output_order_pinned(tmp_path, capsys):
         ([2, 4], [2, 3, 4]), ([3, 4], [2, 3, 4])]
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-# The five README poset commands at the default interval bound of 8, and the
-# series identity at the largest bound.
-POSET_ROUTE = ("verify-cohomology --N 8", "verify-poset-series --N 8", "poset-homology --n 8",
-               "whitney --n 8", "rep-table --n 8 --route poset",
-               "verify-poset-series --N 10 --bound 10")
-
-
-def test_commands_reach_no_general_product(monkeypatch, tmp_path, capsys):
-    """Every series inverse a command needs comes from even_series_inverse:
-    with schur_multiply, h_expansion and the RepSeries product and inverse
-    made to raise, the README commands and the poset-route commands print
-    what they print unpatched."""
-    text = README.read_text()
-    commands = [line.split("  #")[0].split()[1:] for line in text.splitlines()
-                if line.startswith("coxtoric ")]
-    assert len(commands) == 12
-    commands += [row.split() for row in POSET_ROUTE]
-    (tmp_path / "point.json").write_text(re.search(r"```json\n(.*?)```", text, re.S).group(1))
-    monkeypatch.chdir(tmp_path)
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a command reached the general Schur product")
-
-    with monkeypatch.context() as patch:
-        for owner, name in ((rep_ring, "schur_multiply"), (rep_ring, "h_expansion"),
-                            (RepSeries, "invert"), (RepSeries, "__mul__")):
-            patch.setattr(owner, name, unreachable)
-        rep_ring.even_series_inverse.cache_clear()
-        patched = [run_cli(capsys, *argv) for argv in commands]
-    rep_ring.even_series_inverse.cache_clear()
-    assert patched == [run_cli(capsys, *argv) for argv in commands]
-    assert all(code == 0 and out for code, out, _ in patched)
-
-
 def test_unknown_command(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -348,6 +315,10 @@ def test_model_check_point_off_model(tmp_path, capsys):
     assert payload["first_violation"] == [[1, 3], [1, 2, 3]]
 
 
+# Nesting that json.load cannot follow within the interpreter's recursion limit.
+NESTED = "[" * 100000 + "]" * 100000
+
+
 @pytest.mark.parametrize("text", [
     "{not json",
     '[1, 2]',
@@ -355,7 +326,8 @@ def test_model_check_point_off_model(tmp_path, capsys):
     '{"n": 3, "components": 5}',
     '{"n": 3, "components": [{"subset": 5, "coords": ["1"]}]}',
     '{"n": 3, "components": [{"subset": [1, 2], "coords": [null, 1]}]}',
-], ids=["not-json", "list", "string-n", "int-components", "int-subset", "null-coord"])
+    NESTED,
+], ids=["not-json", "list", "string-n", "int-components", "int-subset", "null-coord", "nested"])
 def test_model_check_malformed_point(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
     path.write_text(text)
@@ -364,6 +336,14 @@ def test_model_check_malformed_point(tmp_path, capsys, text):
     lines = err.splitlines()
     assert len(lines) == 1 and "error" in json.loads(lines[0])
     assert "Traceback" not in err
+
+
+def test_model_check_nested_point_on_stdin(monkeypatch, capsys):
+    """JSON nested past the recursion limit is malformed input on stdin too."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(NESTED))
+    code, out, err = run_cli(capsys, "model-check", "--point", "-")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "the point file is nested too deeply"}
 
 
 @pytest.mark.parametrize("components", [
@@ -533,9 +513,9 @@ def test_whitney_claim_only_for_even_n(capsys, n, expected):
 
 
 @pytest.mark.parametrize("target,replacement,argv", [
-    (cup_product, ("_signed_permutation_character", ClassFunction.trivial),
+    (cup_product, ("_signed_permutation_character", trivial_character),
      ("cup-rep", "--n", "6")),
-    (cup_product, ("_signed_permutation_character", ClassFunction.trivial),
+    (cup_product, ("_signed_permutation_character", trivial_character),
      ("cup-rep", "--n", "12")),
     (poset_homology, ("cm_concentration_check", lambda n: False),
      ("poset-homology", "--n", "6")),

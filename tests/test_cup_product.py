@@ -9,7 +9,6 @@ import pytest
 from coxtoric import cup_product
 from coxtoric.cup_product import (
     FOUR_SET_KINDS,
-    basis_keys,
     branching_certificate,
     branching_infeasibility,
     cup_reduce,
@@ -24,7 +23,7 @@ from coxtoric.cup_product import (
 from coxtoric.combinatorics import cycle_type_representative, partitions_of
 from coxtoric.rep_ring import ClassFunction, SchurVector, restrict, to_class_function
 
-from oracles import act_on_degree_two, permute_degree_one
+from oracles import act_on_degree_two, pairing_basis, permute_degree_one
 
 S = SchurVector
 
@@ -51,7 +50,7 @@ def test_span_dimension():
     assert cup_span_dimension(6) == 45
     for n in range(4, 11):
         assert cup_span_dimension(n) == 3 * comb(n, 4)
-        assert len(basis_keys(n)) == 3 * comb(n, 4)
+        assert len(pairing_basis(n)) == 3 * comb(n, 4)
 
 
 @pytest.mark.parametrize("bad", [
@@ -93,7 +92,7 @@ def test_action_on_classes():
 
 def test_action_permutes_basis_up_to_sign():
     from itertools import permutations
-    keys = basis_keys(4)
+    keys = pairing_basis(4)
     for w in permutations(range(1, 5)):
         image = {}
         for key in keys:
@@ -184,7 +183,7 @@ def _full_key_scan(n):
     for mu in partitions_of(n):
         w = cycle_type_representative(mu)
         trace = 0
-        for key in basis_keys(n):
+        for key in pairing_basis(n):
             sign, pairs = 1, []
             for i, j in key:
                 a, b = w[i - 1], w[j - 1]

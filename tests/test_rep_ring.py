@@ -25,7 +25,15 @@ from coxtoric.rep_ring import (
     to_class_function,
 )
 
-from oracles import class_induction_product, substitute_t
+from oracles import (
+    class_induction_product,
+    e,
+    h,
+    inner_product,
+    sign_character,
+    substitute_t,
+    trivial_character,
+)
 
 S = SchurVector
 
@@ -37,21 +45,21 @@ def random_vector(n, rng, span=3):
 
 def oracle_h(v, k):
     """Induce with a trivial factor on the character side, then decompose."""
-    return decompose(class_induction_product(to_class_function(v), ClassFunction.trivial(k)))
+    return decompose(class_induction_product(to_class_function(v), trivial_character(k)))
 
 
 def oracle_e(v, k):
-    return decompose(class_induction_product(to_class_function(v), ClassFunction.sign(k)))
+    return decompose(class_induction_product(to_class_function(v), sign_character(k)))
 
 
 def test_pieri_h_examples():
-    assert pieri_h(S.unit(), 3) == S.h(3)
+    assert pieri_h(S.unit(), 3) == h(3)
     assert pieri_h(S(1, {(1,): 1}), 1) == S(2, {(2,): 1, (1, 1): 1})
     assert pieri_h(S(2, {(2,): 1}), 2) == S(4, {(4,): 1, (3, 1): 1, (2, 2): 1})
 
 
 def test_pieri_e_examples():
-    assert pieri_e(S.unit(), 3) == S.e(3)
+    assert pieri_e(S.unit(), 3) == e(3)
     assert pieri_e(S(2, {(1, 1): 1}), 2) == S(4, {(2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1})
 
 
@@ -66,7 +74,7 @@ def test_pieri_against_character_oracle():
 
 
 def test_omega():
-    assert omega(S.h(4)) == S.e(4)
+    assert omega(h(4)) == e(4)
     assert omega(S(3, {(2, 1): 1})) == S(3, {(2, 1): 1})
     rng = random.Random(7)
     for n in range(0, 7):
@@ -104,12 +112,13 @@ def test_character_orthonormality():
             f = ClassFunction(n, table[lam])
             for nu in partitions_of(n):
                 g = ClassFunction(n, table[nu])
-                assert f.inner(g) == (1 if lam == nu else 0)
+                assert inner_product(f, g) == (1 if lam == nu else 0)
 
 
 def test_inner_product_stays_exact():
-    """A quotient that is not whole comes back as a Fraction, never a float."""
-    value = ClassFunction(3, {(3,): 1}).inner(ClassFunction.trivial(3))
+    """A quotient that is not whole comes back as a Fraction, never a float:
+    the trivial multiplicity of the 3-cycle indicator is 2/3! = 1/3."""
+    value = decompose(ClassFunction(3, {(3,): 1})).coeffs[(3,)]
     assert value == Fraction(1, 3)
     assert type(value) is Fraction
 
@@ -136,12 +145,12 @@ def test_permutation_character_decomposition():
         perm_char = ClassFunction(n, values)
         assert decompose(perm_char) == S(n, {(n,): 1, (n - 1, 1): 1})
         # Burnside: the average number of fixed points is the orbit count
-        assert perm_char.inner(ClassFunction.trivial(n)) == 1
+        assert inner_product(perm_char, trivial_character(n)) == 1
 
 
 def test_constant_function_is_trivial():
     for n in (2, 3, 4):
-        assert decompose(ClassFunction.trivial(n)) == S(n, {(n,): 1})
+        assert decompose(trivial_character(n)) == S(n, {(n,): 1})
 
 
 def test_class_function_round_trip():
@@ -158,7 +167,7 @@ def test_decompose_reports_non_integral():
 
 
 def test_restrict():
-    assert restrict(S.h(4)) == S.h(3)
+    assert restrict(h(4)) == h(3)
     assert restrict(S(3, {(2, 1): 1})) == S(2, {(2,): 1, (1, 1): 1})
     rng = random.Random(5)
     for n in range(1, 8):
@@ -226,7 +235,7 @@ def test_series_invert_random():
 
 
 def test_series_invert_geometric():
-    s = RepSeries(4, {(0, 0): S.unit(), (2, 1): S.e(2)})
+    s = RepSeries(4, {(0, 0): S.unit(), (2, 1): e(2)})
     inv = s.invert()
     assert inv.term(2, 1) == S(2, {(1, 1): -1})
     assert inv.term(4, 2) == S(4, {(2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1})
@@ -235,7 +244,7 @@ def test_series_invert_geometric():
 
 def test_series_h_self_inverse():
     N = 8
-    H = RepSeries(N, {(n, 0): S.h(n) for n in range(N + 1)})
+    H = RepSeries(N, {(n, 0): h(n) for n in range(N + 1)})
     assert H * H.invert() == RepSeries.one(N)
 
 
@@ -244,7 +253,7 @@ def test_even_series_inverse_matches_general_inverse():
     inverse through degree 12: the t^0 cells for the h-series, the t^(d/2)
     cells for the e-series, and zero in odd degree."""
     N = 12
-    for pieri, unit, tpow in ((pieri_h, S.h, lambda d: 0), (pieri_e, S.e, lambda d: d // 2)):
+    for pieri, unit, tpow in ((pieri_h, h, lambda d: 0), (pieri_e, e, lambda d: d // 2)):
         series = RepSeries(N, {(d, tpow(d)): unit(d) for d in range(0, N + 1, 2)})
         expected = {(d, tpow(d)): even_series_inverse(d, pieri) for d in range(N + 1)}
         assert series.invert().terms == {key: v for key, v in expected.items() if not v.is_zero()}
@@ -255,13 +264,13 @@ def test_series_invert_rejects_bad_constant():
     with pytest.raises(ValueError):
         RepSeries(3, {(0, 0): S(0, {(): 2})}).invert()
     with pytest.raises(ValueError):
-        RepSeries(3, {(1, 0): S.h(1)}).invert()
+        RepSeries(3, {(1, 0): h(1)}).invert()
 
 
 def test_series_substitute_t():
-    s = RepSeries(4, {(0, 0): S.unit(), (2, 0): S.h(2), (2, 1): S.e(2)})
+    s = RepSeries(4, {(0, 0): S.unit(), (2, 0): h(2), (2, 1): e(2)})
     collapsed = substitute_t(s)
-    assert collapsed[2] == S.h(2) + S.e(2)
+    assert collapsed[2] == h(2) + e(2)
 
 
 def test_class_function_self_inner_nonnegative():
@@ -269,7 +278,7 @@ def test_class_function_self_inner_nonnegative():
     for n in range(1, 7):
         v = random_vector(n, rng)
         f = to_class_function(v)
-        assert f.inner(f) >= 0
+        assert inner_product(f, f) >= 0
 
 
 def test_schur_vector_validation():

@@ -56,8 +56,8 @@ def test_torus_embedding():
     assert all(coords == (1, 1) or coords == (Fraction(1),)
                for coords in p.components.values())
     q = torus_embedding((1, 2, 3))
-    assert q.component({1, 2}) == (1, 2)
-    assert q.component({2, 3}) == (2, 3)
+    assert q.components[frozenset({1, 2})] == (1, 2)
+    assert q.components[frozenset({2, 3})] == (2, 3)
     with pytest.raises(ValueError):
         torus_embedding((1, 0, 2))
 
@@ -497,10 +497,11 @@ def test_model_point_validation():
 
 def test_coordinate_strings():
     p = point3(("-2", "1/3", "0.5"), (1, 2), ("0", 1), (0, 1))
-    assert p.component(FULL3) == (-2, Fraction(1, 3), Fraction(1, 2))
+    assert p.components[FULL3] == (-2, Fraction(1, 3), Fraction(1, 2))
     q = point3(("1/2", "2/4", "0.5"), ("-3/6", "-0.5"), ("0/7", "2/2"), (1, "1.0"))
-    assert q.component(FULL3) == (Fraction(1, 2),) * 3 and q.component({1, 2}) == (-0.5, -0.5)
-    assert q.component({1, 3}) == (0, 1) and q.component({2, 3}) == (1, 1)
+    assert q.components[FULL3] == (Fraction(1, 2),) * 3 and q.components[frozenset({1, 2})] == (-0.5, -0.5)
+    assert q.components[frozenset({1, 3})] == (0, 1)
+    assert q.components[frozenset({2, 3})] == (1, 1)
     for bad in ("1e2", "1E-2", "2/0", "x"):
         with pytest.raises(ValueError):
             point3(("1", bad, "1"), (1, 2), (0, 1), (0, 1))
