@@ -180,7 +180,7 @@ def cmd_rep_table(config) -> int:
 
 @Command("verify-cohomology", "Degreewise identity in n and t between the interval-homology "
          "series of the H^i and the series (sum h_n) * (1 + sum e_n t^(n/2))^-1.",
-         (BOUND, Flag("N", 8)), interval=lambda config: config.N)
+         (BOUND, Flag("N", 8)), interval=lambda config: 2 * (config.N // 2))
 def cmd_verify_cohomology(config) -> int:
     lhs = cohomology.cohomology_series_poset(config.N)
     rhs = cohomology.cohomology_series_formula(config.N)
@@ -195,7 +195,7 @@ def cmd_verify_cohomology(config) -> int:
 
 @Command("verify-poset-series", "Degreewise identity between alternating top interval "
          "homology of the even-subset lattice and the inverse of 1 + sum of even h_n.",
-         (BOUND, Flag("N", 8)), interval=lambda config: config.N)
+         (BOUND, Flag("N", 8)), interval=lambda config: 2 * (config.N // 2))
 def cmd_verify_poset_series(config) -> int:
     lhs, rhs = poset_homology.poset_series_sides(config.N)
     for n in lhs:  # both sides hold every even degree up to N, in order

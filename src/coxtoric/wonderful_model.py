@@ -11,12 +11,13 @@ component by component.
 
 One stage rule reads a point. On the orbit chain [n] = K_0 > K_1 > ... > K_m
 = {}, K_{s+1} the zeros of v_{K_s}, the stage of a subset J is the last s with
-J <= K_s; the stage coordinates t take t_i from v_{K_s}, s the stage of i.
-_translate(chain, t), the chain's canonical point moved by t, has t_i at I's
-stage and 0 deeper in its I-component. The membership scan and
-degeneration_witness read _stage_coordinates; _translate builds the
-degeneration limit, the closure curve's sample, representative_point,
-torus_embedding and random_model_point.
+J <= K_s; the stage coordinates t take t_i from v_{K_s}, s the stage of i,
+so t_i is a nonzero entry of that block. _orbit yields the chain and t in one
+pass over the blocks. _translate(chain, t), the chain's canonical point moved
+by t, has t_i at I's stage and 0 deeper in its I-component. The membership
+scan and degeneration_witness read _orbit; _translate builds the degeneration
+limit, the closure curve's sample, representative_point, torus_embedding and
+random_model_point.
 
 A point is on the model exactly when every v_J is proportional to
 v_{K_s}|_J, s the stage of J. Necessity: J is not inside K_{s+1}, so
@@ -25,17 +26,16 @@ take I < J. If I has J's stage s, v_I and v_J|_I are both proportional to
 v_{K_s}|_I; if I lies deeper, v_J|_I is proportional to v_{K_s}|_I = 0. Both
 steps need nonzero components, which the constructor enforces. So a scan
 reads each component once, against its block, where the nested pairs number
-O(3^n). The scan compares inline: p == _translate(chain, t) gives the same
-verdicts but took 26-37 ms of compute per model-geometry operation against
-18-26 (2-vCPU VM). first_violation scans every nested pair in subset order,
-in integers: each component is scaled by the lcm of its denominators, and
-each pair is compared against I's first nonzero entry; unscaled Fractions
-took 17-35 ms per full scan at n = 7, against 3-4.
+O(3^n). The scan compares inline: each component against its twin in
+_translate(chain, t) through _minors_vanish gives the same verdicts but took
+130-141 us per scan at n = 6 against 58-63 (best of 15 over 50 seeded points,
+2-vCPU VM). first_violation scans every nested pair in subset order.
 
-Comparisons build no Fraction: _products_equal decides a*b == c*d by integer
-cross-products, exact as denominators are positive, at once on shared
-operands. ModelPoint parses each distinct coordinate string once per
-construction; the exponent and zero-denominator checks still see every string.
+Every other comparison is one rank-one test, _minors_vanish, which builds no
+Fraction: _products_equal decides a*b == c*d by integer cross-products, exact
+as denominators are positive, at once on shared operands. ModelPoint parses
+each distinct coordinate string once per construction; the exponent and
+zero-denominator checks still see every string.
 
 A ModelPoint is immutable, so the scan's result, the chain or None, is kept
 on it: is_on_model, orbit_of and degeneration_witness scan one point once,
@@ -52,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from math import comb, lcm
+from math import comb
 
 from .combinatorics import SubsetChain, ordered_bell, ordered_chains, validate_chain
 
@@ -130,7 +130,7 @@ class ModelPoint:
         if not isinstance(other, ModelPoint) or self.n != other.n:
             return False
         return all(
-            projectively_equal(coords, other.components[subset])
+            _minors_vanish(coords, other.components[subset])
             for subset, coords in self.components.items()
         )
 
@@ -188,17 +188,6 @@ def _products_equal(a, b, c, d) -> bool:
                                  == c.numerator * d.numerator * a.denominator * b.denominator)
 
 
-def _integral(coords) -> tuple[int, ...]:
-    """The coordinates times the lcm of their denominators: integers on the
-    same projective line."""
-    scale = lcm(*(c.denominator for c in coords))
-    return tuple(c.numerator * (scale // c.denominator) for c in coords)
-
-
-def projectively_equal(u, v) -> bool:
-    return len(u) == len(v) and _minors_vanish(u, v) and any(u) and any(v)
-
-
 def torus_embedding(coords) -> ModelPoint:
     """Image of a torus element: every component restricts the same tuple."""
     coords = tuple(coords)
@@ -210,11 +199,10 @@ def first_violation(p: ModelPoint):
     """First nested pair (I, J) whose components fail the rank-one condition,
     or None when the point is on the model. Pairs are scanned in subset order,
     I first, then J."""
-    comps = {subset: _integral(coords) for subset, coords in p.components.items()}
-    pivots = {subset: next(k for k, c in enumerate(u) if c) for subset, u in comps.items()}
+    comps = p.components
     for small, big, inner in _nested_pairs(p.n):
-        u, v, a = comps[small], comps[big], pivots[small]
-        if any(u[a] * v[k] != ub * v[inner[a]] for ub, k in zip(u, inner)):
+        v = comps[big]
+        if not _minors_vanish(comps[small], [v[k] for k in inner]):
             return (sorted(small), sorted(big))
     return None
 
@@ -248,8 +236,8 @@ def _chain_on_model(p: ModelPoint):
     restricted to it (see the module docstring), else None. With a the first
     element of the subset at its stage, t the stage coordinates and t_a != 0,
     that asks t_a*v[i] == t_i*v[a] for i at the stage and v[i] == 0 deeper."""
-    chain = _orbit(p)
-    stage, t = _stages(chain), _stage_coordinates(p, chain)
+    chain, t = _orbit(p)
+    stage = _stages(chain)
     for sub, key in _keys(p.n):
         s = min(map(stage.__getitem__, sub))
         ta = None
@@ -273,25 +261,21 @@ def _stages(chain: SubsetChain) -> list[int]:
     return stage
 
 
-def _stage_coordinates(p: ModelPoint, chain: SubsetChain) -> tuple:
-    """Stage coordinates: t_i is entry i of v_{K_s}, s the stage of i, nonzero
-    as K_{s+1} holds that component's zeros. On the model p is _translate(chain, t)."""
-    t = [None] * p.n
-    for K in chain[:-1]:  # deeper blocks overwrite: t_i is read at i's stage
-        for i, c in zip(sorted(K), p.components[K]):
-            t[i - 1] = c
-    return tuple(t)
-
-
-def _orbit(p: ModelPoint) -> SubsetChain:
-    """Chain of vanishing loci: K_{l+1} collects the zero coordinates of the
-    K_l component, stopping at the first block with no zeros. Membership is
-    not checked."""
-    chain = [frozenset(range(1, p.n + 1))]
+def _orbit(p: ModelPoint) -> tuple[SubsetChain, tuple]:
+    """Chain of vanishing loci and stage coordinates, in one pass over the
+    blocks: K_{s+1} collects the zero entries of v_{K_s}, stopping at the
+    first block with no zeros, and each nonzero entry i of v_{K_s} is t_i.
+    Membership is not checked; on the model p is _translate(chain, t)."""
+    chain, t = [frozenset(range(1, p.n + 1))], [None] * p.n
     while chain[-1]:
-        K = chain[-1]
-        chain.append(frozenset(i for i, c in zip(sorted(K), p.components[K]) if c == 0))
-    return tuple(chain)
+        K, zeros = chain[-1], []
+        for i, c in zip(sorted(K), p.components[K]):
+            if c:
+                t[i - 1] = c
+            else:
+                zeros.append(i)
+        chain.append(frozenset(zeros))
+    return tuple(chain), tuple(t)
 
 
 def representative_point(chain: SubsetChain) -> ModelPoint:
@@ -323,8 +307,9 @@ def degeneration_witness(p: ModelPoint) -> dict:
     v_I projectively. The report lists each component comparison; any
     failure names its subset.
     """
-    chain = orbit_of(p)
-    stage, t = _stages(chain), _stage_coordinates(p, chain)
+    orbit_of(p)  # raises off the model
+    chain, t = _orbit(p)
+    stage = _stages(chain)
     limits = _translate(chain, t).components
     components = []
     for sub, key in _keys(p.n):
@@ -333,7 +318,7 @@ def degeneration_witness(p: ModelPoint) -> dict:
             "subset": list(sub),
             "limit": [str(c) for c in limit],
             "target": [str(c) for c in target],
-            "ok": projectively_equal(limit, target),
+            "ok": _minors_vanish(limit, target),
         })
     return {
         "chain": [sorted(b) for b in chain],
@@ -367,8 +352,8 @@ def permute_point(w, p: ModelPoint) -> ModelPoint:
     if sorted(w) != list(range(1, p.n + 1)):
         raise ValueError("w must be a permutation of 1..n")
     comps = {}
-    for subset, coords in p.components.items():
-        images, moved = zip(*sorted(zip([w[i - 1] for i in sorted(subset)], coords)))
+    for sub, key in _keys(p.n):
+        images, moved = zip(*sorted(zip([w[i - 1] for i in sub], p.components[key])))
         comps[frozenset(images)] = moved
     return ModelPoint._of(p.n, comps)
 
@@ -406,7 +391,7 @@ def closure_curve_witness(fine: SubsetChain, coarse: SubsetChain) -> dict:
     for sub, key in _keys(sample.n)[sample.n:]:  # a singleton's limit is (1,)
         coords = sample.components[key]
         lead = max(coords)  # 1/2^power is largest at the lowest power
-        ok = projectively_equal(tuple(int(c == lead) for c in coords), target.components[key])
+        ok = _minors_vanish(tuple(int(c == lead) for c in coords), target.components[key])
         components.append({"subset": list(sub), "ok": ok})
     limit_ok = all(c["ok"] for c in components)
     on_model = is_on_model(sample)

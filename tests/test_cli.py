@@ -57,6 +57,25 @@ def test_poset_row_needs_only_its_interval(capsys):
     assert code == 2 and out == "" and "bound" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-poset-series", "--N", "9"],
+    ["verify-cohomology", "--N", "11", "--bound", "10"],
+    ["verify-cohomology", "--N", "1", "--bound", "0"],
+])
+def test_odd_N_needs_the_even_interval_below_it(capsys, argv):
+    """The verify commands build intervals of even size only, so an odd N
+    needs the interval of size N - 1."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and json.loads(out)["verified"] is True
+
+
+def test_odd_N_names_the_even_interval_it_needs(capsys):
+    code, out, err = run_cli(capsys, "verify-poset-series", "--N", "9", "--bound", "6")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == (
+        "verify-poset-series needs interval size 8, beyond the brute-force bound 6")
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "rep-table", "--n", "5")
     _, second, _ = run_cli(capsys, "rep-table", "--n", "5")

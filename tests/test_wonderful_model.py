@@ -21,7 +21,6 @@ from coxtoric.wonderful_model import (
     orbit_of,
     permute_chain,
     permute_point,
-    projectively_equal,
     random_model_point,
     random_torus_element,
     representative_point,
@@ -45,10 +44,10 @@ def point3(top, b, c, d):
 
 
 def test_projective_equality():
-    assert projectively_equal((1, 2), (2, 4))
-    assert projectively_equal((0, 1), (0, 3))
-    assert not projectively_equal((1, 0), (0, 1))
-    assert not projectively_equal((1, 2), (1, 3))
+    assert wonderful_model._minors_vanish((1, 2), (2, 4))
+    assert wonderful_model._minors_vanish((0, 1), (0, 3))
+    assert not wonderful_model._minors_vanish((1, 0), (0, 1))
+    assert not wonderful_model._minors_vanish((1, 2), (1, 3))
 
 
 def test_torus_embedding():
@@ -209,7 +208,7 @@ def test_chain_membership_on_every_chain_of_5():
                 assert is_on_model(r) == expected
                 verdicts.add(expected)
                 if expected:
-                    assert orbit_of(r) == wonderful_model._orbit(r)
+                    assert orbit_of(r) == wonderful_model._orbit(r)[0]
                     moved_on_model += orbit_of(r) != chain
                 else:
                     with pytest.raises(ValueError):
@@ -328,6 +327,24 @@ def test_random_draws_pinned():
         "8d4e8ec115a0bb14d0e43f93bf2586fa69ecc51a0354a74208a06e0822375155")
     assert sha([random_model_point(5, random.Random(s)).to_json() for s in range(20)]) == (
         "8a66e512968314184a429257d7db01a5412691fb94db7b6c0f30998a08dd4eb5")
+
+
+def test_first_violation_pinned():
+    """Seeded points at n = 2..7, each with copies bent in coordinate 0 of
+    one of its first three non-singleton components (set to 3/7, or to 2
+    where it is 3/7): the digest pins both verdicts on every copy."""
+    results = []
+    for n in range(2, 8):
+        for seed in range(10):
+            p = random_model_point(n, random.Random(seed))
+            points = [p]
+            for _, key in wonderful_model._keys(n)[n:n + 3]:
+                coords = p.components[key]
+                bent = Fraction(2) if coords[0] == Fraction(3, 7) else Fraction(3, 7)
+                points.append(ModelPoint(n, {**p.components, key: (bent, *coords[1:])}))
+            results += [(is_on_model(q), first_violation(q)) for q in points]
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "366a0b7fa8f8852e3a16bccdad0cab65fc2f8cd4de9a5c7d413093a19a5632e8")
 
 
 def test_witnesses_pinned():
