@@ -9,7 +9,8 @@ byte-identical output; orderings are fixed everywhere.
 Each command is declared once, by a Command on its handler: its description,
 whether it offers csv, every flag with its default, floor and ceiling, and the
 interval size a run needs. build_parser and _check loop over these; _check
-refuses an out-of-range flag, or an interval beyond --bound, before any work.
+refuses an out-of-range flag, or an interval of odd size or beyond --bound,
+before any work.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def _emit(payload: dict, rows: list[dict] | None, config) -> None:
 
 
 def _check(config) -> None:
-    """Refuse a missing or out-of-range flag, or a run whose interval exceeds
+    """Refuse a missing or out-of-range flag, or a run whose interval has an
+    odd size, which the even-subset lattice has no interval of, or exceeds
     --bound, before any work starts."""
     spec = COMMANDS[config.command]
     for flag in spec.flags:
@@ -132,6 +134,8 @@ def _check(config) -> None:
         if ceiling is not None and value > ceiling:
             raise ValueError(f"--{flag.name} is limited to {ceiling} for {config.command}")
     size = spec.interval(config) if spec.interval else None
+    if size is not None and size % 2:
+        raise ValueError("interval size must be even and nonnegative")
     if size is not None and size > config.bound:
         raise ValueError(f"{config.command} needs interval size {size}, "
                          f"beyond the brute-force bound {config.bound}")

@@ -7,8 +7,11 @@ Two fully independent pipelines produce the representation on each H^i:
   (sum h_n) * (1 + sum e_{2k} t^k)^-1, that is (-1)^i h_{n-2i} R_{2i} with
   R_{2i} from rep_ring's cached recurrence even_series_inverse. The test suite
   keeps the expanded signed sum over ordered tuples of even parts as its oracle.
-* the poset route, inducing the sign-twisted top homology of the even-subset
-  lattice computed from order complexes.
+* the poset route: the Hopf trace gives the character of the top homology of
+  the even-subset lattice, computed from order complexes; it is twisted by
+  sign, induced up on the character side by rep_ring.induce_trivial and
+  decomposed by Murnaghan-Nakayama values. No Pieri rule is used, so the
+  routes share no step.
 
 Their degreewise agreement inside a t-series, together with the closed-form
 Betti numbers A_{2i} * C(n, 2i), is the contract the acceptance suite pins.
@@ -19,8 +22,9 @@ from __future__ import annotations
 from math import comb
 
 from .combinatorics import secant_numbers
-from .poset_homology import top_interval_representation
-from .rep_ring import RepSeries, SchurVector, even_series_inverse, omega, pieri_e, pieri_h
+from .poset_homology import equivariant_top_character
+from .rep_ring import (ClassFunction, RepSeries, SchurVector, decompose, even_series_inverse,
+                       induce_trivial, pieri_e, pieri_h)
 
 FORMULA_DEGREE_LIMIT = 12
 
@@ -52,13 +56,17 @@ def rep_via_induction(n: int, i: int) -> SchurVector:
 
 def rep_via_poset(n: int, i: int) -> SchurVector:
     """Representation on H^i from interval homology: the sign-twisted top
-    homology below a 2i-set, induced up with a trivial factor. An interval
-    above MAX_BRUTE_FORCE_BOUND raises ValueError before any chain is built."""
+    homology below a 2i-set, induced up with a trivial factor on the character
+    side and decomposed. On a cycle type nu of 2 * i the sign is (-1)^len(nu).
+    An interval above MAX_BRUTE_FORCE_BOUND raises ValueError before any chain
+    is built."""
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
     if 2 * i > n:
         return SchurVector.zero(n)
-    return pieri_h(omega(top_interval_representation(2 * i)), n - 2 * i)
+    top = equivariant_top_character(2 * i)
+    twisted = ClassFunction(2 * i, {nu: (-1) ** len(nu) * c for nu, c in top.values.items()})
+    return decompose(induce_trivial(twisted, n))
 
 
 def _signed_series(N: int, rep) -> RepSeries:

@@ -14,20 +14,17 @@ basis. The routes are compared as characters; characters determine
 decompositions, so this is as strong as comparing decompositions.
 
 The trace is summed by kind of stable 4-set. A pairing fixed by w lies on a
-4-set that w maps to itself, a union of cycles of w. Its cycles make one of
-five kinds: 4, 3+1, 2+2, 2+1+1 or 1+1+1+1. Take w to be
+4-set that w maps to itself, a union of cycles of w. Its kind is the cycle
+type those cycles make, a partition of 4. Take w to be
 cycle_type_representative(mu), whose cycles are runs of consecutive integers
 in decreasing length, each run shifted by one. Then every stable 4-set of one
 kind carries the same order pattern: w restricted to it, relabelled in
 increasing order by 1..4, is the S_4 representative of that kind.
 permute_basis_key and cup_reduce compare indices only by their order, so the
-signed trace on the three pairings of such a set equals tau_kind, the trace of
-the S_4 representative. Hence, with m_j the number of j-cycles of mu,
-
-    trace(mu) = m4 tau_4 + m3 m1 tau_31 + C(m2, 2) tau_22
-                + m2 C(m1, 2) tau_211 + C(m1, 4) tau_1111.
-
-Each tau_kind is computed once, through permute_basis_key on the pairings of
+signed trace on the three pairings of such a set equals tau(kind), the trace
+of the S_4 representative; tau is the S_4 character of V_(2,1,1). Summing
+tau(kind) over the stable 4-sets is rep_ring.induce_trivial of tau up to S_n.
+Each tau(kind) is computed once, through permute_basis_key on the pairings of
 {1, 2, 3, 4}; nothing in this route uses Pieri.
 
 The branching search seeks an S_(n+1)-module restricting to a target.
@@ -43,7 +40,7 @@ from itertools import combinations
 from math import comb
 
 from .combinatorics import partitions_of, cycle_type_representative
-from .rep_ring import (ClassFunction, SchurVector, decompose, irrep_dimension,
+from .rep_ring import (ClassFunction, SchurVector, decompose, induce_trivial, irrep_dimension,
                        pieri_h, restrict, to_class_function)
 
 
@@ -110,16 +107,6 @@ def permute_basis_key(w, key) -> tuple[tuple, int]:
     return new_key, sign
 
 
-FOUR_SET_KINDS = ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
-
-
-def four_set_kind_counts(mu) -> tuple[int, ...]:
-    """How many w-stable 4-sets of each kind in FOUR_SET_KINDS a permutation
-    w of cycle type mu has: m4, m3 m1, C(m2, 2), m2 C(m1, 2), C(m1, 4)."""
-    m = [mu.count(j) for j in range(5)]
-    return (m[4], m[3] * m[1], comb(m[2], 2), m[2] * comb(m[1], 2), comb(m[1], 4))
-
-
 def _kind_trace(kind) -> int:
     """Signed trace of the S_4 representative of kind on the pairings of
     {1, 2, 3, 4}."""
@@ -132,12 +119,9 @@ def _kind_trace(kind) -> int:
 
 
 def _signed_permutation_character(n: int) -> ClassFunction:
-    """Signed trace on the pairing basis, summed by kind of w-stable 4-set
-    (see the module docstring)."""
-    taus = [_kind_trace(kind) for kind in FOUR_SET_KINDS]
-    return ClassFunction(n, {
-        mu: sum(count * tau for count, tau in zip(four_set_kind_counts(mu), taus))
-        for mu in partitions_of(n)})
+    """Signed trace on the pairing basis: the kind traces, induced up over the
+    w-stable 4-sets (see the module docstring)."""
+    return induce_trivial(ClassFunction(4, {k: _kind_trace(k) for k in partitions_of(4)}), n)
 
 
 def cup_span_representation(n: int, cross_check: bool = True) -> SchurVector:

@@ -28,9 +28,13 @@ signed count is summed by top element: a chain topped by e is e alone or a
 chain topped by some fixed f < e with e added one degree up. The trace reads
 the element list only, never the chains.
 
+Whitney homology induces the top character up on the character side
+(rep_ring.induce_trivial) and decomposes the result, so no Pieri rule is used.
+
 Two results are cached because commands read them again: the homology ranks
-(re-read by the concentration check) and the decomposed top homology (re-read
-by every Whitney degree and series term); the complex is not kept.
+(re-read by the concentration check) and the top character (re-read by every
+Whitney degree, and by every n of a poset-route series); the complex is not
+kept.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .rep_ring import (
     SchurVector,
     decompose,
     even_series_inverse,
+    induce_trivial,
     pieri_h,
 )
 
@@ -222,6 +227,7 @@ def cm_concentration_check(n: int) -> bool:
     return set(ranks) == {n // 2}
 
 
+@lru_cache(maxsize=None)
 def equivariant_top_character(n: int) -> ClassFunction:
     """Character of S_n on the top homology of the interval below [n].
 
@@ -253,7 +259,6 @@ def equivariant_top_character(n: int) -> ClassFunction:
     return ClassFunction(n, values)
 
 
-@lru_cache(maxsize=None)
 def top_interval_representation(n: int) -> SchurVector:
     """Top homology below [n] decomposed into irreducibles."""
     return decompose(equivariant_top_character(n))
@@ -261,10 +266,11 @@ def top_interval_representation(n: int) -> SchurVector:
 
 def whitney_homology(n: int, i: int) -> SchurVector:
     """Degree-i Whitney homology of the even-subset lattice of [n]: the top
-    homology below a 2i-set, induced up from S_{2i} x S_{n-2i}."""
+    homology below a 2i-set, induced up from S_{2i} x S_{n-2i} on the
+    character side, then decomposed."""
     if not (0 <= 2 * i <= n):
         raise ValueError("need 0 <= 2i <= n")
-    return pieri_h(top_interval_representation(2 * i), n - 2 * i)
+    return decompose(induce_trivial(equivariant_top_character(2 * i), n))
 
 
 def poset_series_sides(N: int):

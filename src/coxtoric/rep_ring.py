@@ -7,6 +7,10 @@ the character side; converting back and forth goes through Murnaghan-Nakayama
 character values and provides an independent route for every product, which
 the test suite exploits as an oracle.
 
+induce_trivial is the one induction on the character side, by counting cycle
+types; the poset route and the cup-span trace use it, so neither reaches a
+Pieri rule.
+
 Series inverses come from one cached Pieri recurrence, even_series_inverse.
 RepSeries adjoins a variable t and truncates total degree; its general product
 and inverse (schur_multiply, h_expansion) are only the tests' reference.
@@ -31,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial
+from math import comb, factorial
 
 from .combinatorics import (
     Partition,
@@ -297,6 +301,32 @@ def to_class_function(v: SchurVector) -> ClassFunction:
     return ClassFunction(v.n, {
         mu: sum(c * _mn_value(lam, mu) for lam, c in v.coeffs.items())
         for mu in partitions_of(v.n)})
+
+
+def induce_trivial(f: ClassFunction, n: int) -> ClassFunction:
+    """Ind from S_k x S_(n-k) to S_n of f times the trivial character, k = f.n.
+
+    A permutation of cycle type mu meets a stable k-set in a sub-multiset nu of
+    its cycles, chosen in prod over j of C(m_j(mu), m_j(nu)) ways, where m_j
+    counts the parts j; so the value at mu is the sum over nu of f(nu) times
+    that product (Macdonald, Symmetric Functions and Hall Polynomials, ch. I
+    section 7). For n < k no nu fits in mu, and every value is 0. No Pieri
+    strip is used.
+    """
+    terms = [({j: nu.count(j) for j in nu}.items(), c) for nu, c in f.values.items()]
+    values = {}
+    for mu in partitions_of(n):
+        m = {j: mu.count(j) for j in mu}
+        value = 0
+        for counts, c in terms:
+            ways = 1
+            for j, k in counts:
+                ways *= comb(m.get(j, 0), k)
+                if not ways:  # nu does not fit in mu
+                    break
+            value += c * ways
+        values[mu] = value
+    return ClassFunction(n, values)
 
 
 def decompose(f: ClassFunction) -> SchurVector:

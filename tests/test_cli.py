@@ -76,6 +76,14 @@ def test_odd_N_names_the_even_interval_it_needs(capsys):
         "verify-poset-series needs interval size 8, beyond the brute-force bound 6")
 
 
+@pytest.mark.parametrize("argv", [("--n", "9"), ("--n", "9", "--bound", "10"), ("--n", "7"),
+                                  ("--n", "11", "--bound", "10")])
+def test_odd_poset_homology_n_is_refused_for_its_parity(capsys, argv):
+    code, out, err = run_cli(capsys, "poset-homology", *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "interval size must be even and nonnegative"}
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "rep-table", "--n", "5")
     _, second, _ = run_cli(capsys, "rep-table", "--n", "5")
@@ -541,6 +549,7 @@ def test_whitney_claim_only_for_even_n(capsys, n, expected):
 ], ids=["cup-rep", "cup-rep-12", "poset-homology"])
 def test_discrepancy_is_json(monkeypatch, capsys, target, replacement, argv):
     monkeypatch.setattr(target, *replacement)
+    poset_homology.equivariant_top_character.cache_clear()  # a cached character skips the check
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert list(json.loads(err)) == ["discrepancy"]

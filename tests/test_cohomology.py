@@ -1,9 +1,10 @@
 import hashlib
+import sys
 from math import comb
 
 import pytest
 
-from coxtoric import cli, cohomology, rep_ring
+from coxtoric import cli, cohomology, cup_product, poset_homology, rep_ring
 from coxtoric.cohomology import (
     betti,
     cohomology_series_formula,
@@ -185,3 +186,52 @@ def test_exponential_specialization():
     assert by_cell[(2, 1)] == -1
     assert by_cell[(4, 2)] == 5
     assert all(by_cell[(n, 0)] == 1 for n in range(0, 9))
+
+
+def _forbid(monkeypatch, names):
+    """Clear every coxtoric cache, then make each named rep_ring function
+    raise, in every coxtoric module namespace that holds it."""
+    modules = [m for key, m in sys.modules.items()
+               if key == "coxtoric" or key.startswith("coxtoric.")]
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    for name in names:
+        original = getattr(rep_ring, name)
+
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} reached")
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, forbidden)
+
+
+DEGREES = [(n, i) for n in range(9) for i in range(n // 2 + 1)]
+CHARACTER_SIDE = {
+    "rep_via_poset": lambda: [rep_via_poset(n, i) for n, i in DEGREES],
+    "whitney_homology": lambda: [poset_homology.whitney_homology(n, i) for n, i in DEGREES],
+    "top_interval_representation": lambda: [poset_homology.top_interval_representation(n)
+                                            for n in range(0, 9, 2)],
+    "_signed_permutation_character": lambda: [cup_product._signed_permutation_character(n)
+                                              for n in range(9)],
+}
+PIERI_SIDE = {
+    "rep_via_induction": lambda: [rep_via_induction(n, i) for n, i in DEGREES],
+    "cup_span_representation": lambda: [cup_product.cup_span_representation(n, cross_check=False)
+                                        for n in range(4, 9)],
+}
+
+
+@pytest.mark.parametrize("routes,forbidden", [
+    (CHARACTER_SIDE, ("pieri_h", "pieri_e", "omega", "even_series_inverse")),
+    (PIERI_SIDE, ("decompose", "to_class_function", "_mn_value", "character_table")),
+], ids=["character-side", "pieri-side"])
+def test_each_route_stays_on_its_own_side(monkeypatch, routes, forbidden):
+    """The poset route and the cup-span trace reach no Pieri rule, and the
+    formula route and the Pieri cup span reach no character value."""
+    expected = {name: run() for name, run in routes.items()}
+    _forbid(monkeypatch, forbidden)
+    assert {name: run() for name, run in routes.items()} == expected

@@ -8,20 +8,19 @@ import pytest
 
 from coxtoric import cup_product
 from coxtoric.cup_product import (
-    FOUR_SET_KINDS,
     branching_certificate,
     branching_infeasibility,
     cup_reduce,
     cup_span_dimension,
     cup_span_representation,
     degree_one_class,
-    four_set_kind_counts,
     permute_basis_key,
     _kind_trace,
     _signed_permutation_character,
 )
 from coxtoric.combinatorics import cycle_type_representative, partitions_of
-from coxtoric.rep_ring import ClassFunction, SchurVector, restrict, to_class_function
+from coxtoric.rep_ring import (ClassFunction, SchurVector, induce_trivial, restrict,
+                               to_class_function)
 
 from oracles import act_on_degree_two, pairing_basis, permute_degree_one
 
@@ -273,21 +272,24 @@ def _kind_and_pattern(w, four):
 def test_stable_four_sets_carry_their_kind_pattern():
     """Every w-stable 4-set of the cycle-type representative has the order
     pattern of its kind's S_4 representative, and the sets of each kind number
-    four_set_kind_counts(mu): the two facts the kind-summed trace rests on."""
+    induce_trivial of that kind's indicator at mu: the two facts the
+    kind-summed trace rests on."""
+    kinds = partitions_of(4)
     for n in range(1, 11):
+        stable_counts = {kind: induce_trivial(ClassFunction(4, {kind: 1}), n) for kind in kinds}
         for mu in partitions_of(n):
             w = cycle_type_representative(mu)
-            counts = dict.fromkeys(FOUR_SET_KINDS, 0)
+            counts = dict.fromkeys(kinds, 0)
             for four in _stable_four_sets(w):
                 kind, pattern = _kind_and_pattern(w, four)
                 assert pattern == cycle_type_representative(kind), (mu, four)
                 counts[kind] += 1
-            assert tuple(counts.values()) == four_set_kind_counts(mu), mu
+            assert counts == {kind: stable_counts[kind](mu) for kind in kinds}, mu
 
 
 def test_kind_traces_are_the_pairing_character():
     """The five kind traces are the character of the pairing module V_(2,1,1)
     of S_4 on the kinds' cycle types."""
     char = to_class_function(S(4, {(2, 1, 1): 1}))
-    taus = [_kind_trace(kind) for kind in FOUR_SET_KINDS]
-    assert taus == [char(kind) for kind in FOUR_SET_KINDS] == [1, 0, -1, -1, 3]
+    taus = [_kind_trace(kind) for kind in partitions_of(4)]
+    assert taus == [char(kind) for kind in partitions_of(4)] == [1, 0, -1, -1, 3]

@@ -52,6 +52,7 @@ ALLOWED = {
     "rep_ring.RepSeries.invert": SPANS,
     "combinatorics.enumerate_chains": SPANS,
     "combinatorics.all_chains": "in coxtoric.__all__",
+    "rep_ring.omega": "in coxtoric.__all__",
     "combinatorics.validate_chain": OP + ", through closure_curve_witness",
     "wonderful_model.closure_curve_witness": OP,
     "wonderful_model.closure_refinement": OP + ", through closure_curve_witness",

@@ -16,6 +16,7 @@ from coxtoric.rep_ring import (
     decompose,
     even_series_inverse,
     h_expansion,
+    induce_trivial,
     irrep_dimension,
     omega,
     pieri_e,
@@ -136,6 +137,16 @@ def test_integer_values_stay_int():
     for n in range(1, 8):
         values += _signed_permutation_character(n).values.values()
     assert {type(c) for c in values} == {int}
+
+
+def test_induce_trivial_matches_class_induction_oracle():
+    """The cycle-type rule is the induction product with a trivial factor."""
+    for k in range(7):
+        for lam in partitions_of(k):
+            f = to_class_function(S(k, {lam: 1}))
+            for n in range(k, 11):
+                assert induce_trivial(f, n) == class_induction_product(
+                    f, trivial_character(n - k)), (lam, n)
 
 
 def test_permutation_character_decomposition():
