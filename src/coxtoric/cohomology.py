@@ -4,9 +4,11 @@ real toric variety of the type-A reflection arrangement fan.
 Two fully independent pipelines produce the representation on each H^i:
 
 * the induction formula: H^i is (-1)^i times the t^i coefficient of
-  (sum h_n) * (1 + sum e_{2k} t^k)^-1, that is (-1)^i h_{n-2i} R_{2i} with
-  R_{2i} from rep_ring's cached recurrence even_series_inverse. The test suite
-  keeps the expanded signed sum over ordered tuples of even parts as its oracle.
+  (sum h_n) * (1 + sum e_{2k} t^k)^-1, that is (-1)^i h_{n-2i} R_{2i}. R_{2i}
+  is omega of the degree-2i term of (1 + sum h_{2k})^-1 from rep_ring's cached
+  recurrence even_series_inverse, the same term the right side of
+  verify-poset-series reads. The test suite keeps the expanded signed sum over
+  ordered tuples of even parts as its oracle.
 * the poset route: the Hopf trace gives the character of the top homology of
   the even-subset lattice, computed from order complexes; it is twisted by
   sign, induced up on the character side by rep_ring.induce_trivial and
@@ -24,7 +26,7 @@ from math import comb
 from .combinatorics import secant_numbers
 from .poset_homology import equivariant_top_character
 from .rep_ring import (ClassFunction, RepSeries, SchurVector, decompose, even_series_inverse,
-                       induce_trivial, pieri_e, pieri_h)
+                       induce_trivial, omega, pieri_h)
 
 FORMULA_DEGREE_LIMIT = 12
 
@@ -42,15 +44,17 @@ def rep_via_induction(n: int, i: int) -> SchurVector:
     """Representation on H^i from the signed induction formula.
 
     H^i is (-1)^i times the t^i coefficient of (sum h_n) * (1 + sum e_{2k} t^k)^-1
-    in degree n, that is (-1)^i h_{n-2i} * R_{2i} with R_{2i} from
-    even_series_inverse run with pieri_e. The test suite checks it against the
-    expanded form, a signed sum over ordered tuples of even parts summing to 2i.
+    in degree n, that is (-1)^i h_{n-2i} * R_{2i}. R_{2i} is omega of
+    even_series_inverse(2i), the term of (1 + sum h_{2k})^-1, since omega swaps
+    h_k and e_k and is a ring automorphism. The test suite checks it against
+    the expanded form, a signed sum over ordered tuples of even parts summing
+    to 2i.
     """
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
     if 2 * i > n:
         return SchurVector.zero(n)
-    vec = pieri_h(even_series_inverse(2 * i, pieri_e), n - 2 * i)
+    vec = pieri_h(omega(even_series_inverse(2 * i)), n - 2 * i)
     return -vec if i % 2 else vec
 
 

@@ -128,8 +128,10 @@ def stirling2(n: int, k: int) -> int:
     return _STIRLING[n][k]
 
 
+@lru_cache(maxsize=None)
 def class_data(mu: Partition) -> tuple[int, int]:
-    """Centralizer order z_mu = prod i^{m_i} m_i! and the class size n!/z_mu."""
+    """Centralizer order z_mu = prod i^{m_i} m_i! and the class size n!/z_mu.
+    Cached, since decompose reads it for every cycle type on every call."""
     mu = check_partition(mu)
     n = sum(mu)
     z = 1

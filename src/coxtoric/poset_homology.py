@@ -59,7 +59,6 @@ from .rep_ring import (
     decompose,
     even_series_inverse,
     induce_trivial,
-    pieri_h,
 )
 
 # Largest interval size the brute-force route is allowed to reach: the size-10
@@ -279,11 +278,13 @@ def poset_series_sides(N: int):
 
     Left: 1 + sum over even n of (-1)^{n/2} (top homology below [n]), with the
     homology characters computed by the order-complex route. Right: the series
-    inverse of 1 + sum over even n >= 2 of h_n, by even_series_inverse.
+    inverse of 1 + sum over even n >= 2 of h_n, from the cached
+    even_series_inverse(n), whose omega the formula route of
+    verify-cohomology reads.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     lhs = {n: -top_interval_representation(n) if n % 4 else top_interval_representation(n)
            for n in range(0, N + 1, 2)}
-    rhs = {n: even_series_inverse(n, pieri_h) for n in range(0, N + 1, 2)}
+    rhs = {n: even_series_inverse(n) for n in range(0, N + 1, 2)}
     return lhs, rhs

@@ -2,8 +2,11 @@
 
 Elements live in the Schur basis: a SchurVector maps partitions of a fixed
 degree n to rational coefficients, and the graded product is the induction
-product, computed by Pieri expansions. Class functions mirror the same data on
-the character side; converting back and forth goes through Murnaghan-Nakayama
+product, computed by Pieri expansions. There is one strip rule, pieri_h by
+horizontal strips; e_k acts through the involution omega, which swaps h_k and
+e_k and is a ring automorphism (Macdonald, ch. I section 2), so pieri_e(v, k)
+is omega(pieri_h(omega(v), k)). Class functions mirror the same data on the
+character side; converting back and forth goes through Murnaghan-Nakayama
 character values and provides an independent route for every product, which
 the test suite exploits as an oracle.
 
@@ -11,7 +14,8 @@ induce_trivial is the one induction on the character side, by counting cycle
 types; the poset route and the cup-span trace use it, so neither reaches a
 Pieri rule.
 
-Series inverses come from one cached Pieri recurrence, even_series_inverse.
+Series inverses come from one Pieri recurrence, even_series_inverse, cached by
+degree: R_d of (1 + sum h_{2k})^-1, whose omega is R_d of (1 + sum e_{2k})^-1.
 RepSeries adjoins a variable t and truncates total degree; its general product
 and inverse (schur_multiply, h_expansion) are only the tests' reference.
 
@@ -24,7 +28,7 @@ Two constructors build a SchurVector. The public SchurVector(n, coeffs) and
 scale validate: every key must be a partition of n, and every coefficient is
 read as above. The trusted SchurVector._of(n, coeffs) only drops zero
 coefficients. It serves the rules whose output is valid by construction, given
-valid input: _pieri (pieri_h, pieri_e), __add__, __neg__, restrict and omega.
+valid input: pieri_h, __add__, __neg__, restrict and omega.
 Their keys are strips added to, corners removed from, or conjugates of
 partitions, and their coefficients are sums and negatives of ints and
 Fractions.
@@ -156,73 +160,52 @@ def irrep_dimension(lam: Partition) -> int:
 
 
 def _horizontal_strips(lam: Partition, k: int):
-    """Partitions mu >= lam with mu/lam a horizontal k-strip."""
+    """Partitions mu >= lam with mu/lam a horizontal k-strip. Rows i and below
+    can take at most lam[i-1] boxes in all, so row i takes at least enough that
+    the rest fits below it: no branch is a dead end."""
     L = len(lam)
     out = []
 
     def rec(i, rem, acc):
-        if i == L:
-            if rem == 0:
-                out.append(tuple(acc))
-            elif L == 0 or rem <= lam[L - 1]:
-                out.append(tuple(acc) + (rem,))
-            return
-        lo = lam[i]
-        hi = lo + rem if i == 0 else min(lam[i - 1], lo + rem)
-        for mu_i in range(lo, hi + 1):
-            rec(i + 1, rem - (mu_i - lo), acc + [mu_i])
+        if not rem:
+            out.append(acc + lam[i:])
+        elif i == L:
+            out.append(acc + (rem,))
+        else:
+            lo = lam[i]
+            hi = lo + rem if i == 0 else min(lam[i - 1], lo + rem)
+            for mu_i in range(max(lo, rem), hi + 1):
+                rec(i + 1, rem - (mu_i - lo), acc + (mu_i,))
 
-    rec(0, k, [])
+    rec(0, k, ())
     return out
-
-
-def _vertical_strips(lam: Partition, k: int):
-    """Partitions mu >= lam with mu/lam a vertical k-strip."""
-    L = len(lam)
-    out = []
-
-    def rec(i, rem, prev, acc):
-        if i == L:
-            out.append(tuple(acc) + (1,) * rem)
-            return
-        for add in (0, 1):
-            mu_i = lam[i] + add
-            if add <= rem and mu_i <= prev:
-                rec(i + 1, rem - add, mu_i, acc + [mu_i])
-
-    rec(0, k, lam[0] + 1 if L else k, [])
-    return out
-
-
-def _pieri(v: SchurVector, k: int, strips) -> SchurVector:
-    """Pieri rule: each constituent lam of v spreads its coefficient over the
-    partitions strips(lam, k)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return SchurVector._of(v.n + k, _summed(
-        (mu, c) for lam, c in v.coeffs.items() for mu in strips(lam, k)))
 
 
 def pieri_h(v: SchurVector, k: int) -> SchurVector:
-    """Induction product with the trivial class h_k (horizontal strips)."""
-    return _pieri(v, k, _horizontal_strips)
+    """Induction product with the trivial class h_k: each constituent lam of v
+    spreads its coefficient over the horizontal k-strips added to lam."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return SchurVector._of(v.n + k, _summed(
+        (mu, c) for lam, c in v.coeffs.items() for mu in _horizontal_strips(lam, k)))
 
 
 def pieri_e(v: SchurVector, k: int) -> SchurVector:
-    """Induction product with the sign class e_k (vertical strips)."""
-    return _pieri(v, k, _vertical_strips)
+    """Induction product with the sign class e_k, through omega: omega is a ring
+    automorphism that swaps h_k and e_k."""
+    return omega(pieri_h(omega(v), k))
 
 
 @lru_cache(maxsize=None)
-def even_series_inverse(degree: int, pieri) -> SchurVector:
-    """Degree-d term R_d of (1 + sum over k >= 1 of x_{2k})^-1, where pieri(v, k)
-    multiplies by x_k (h_k for pieri_h, e_k for pieri_e): R_0 = 1 and
-    R_d = -(sum over even 2 <= k <= d of pieri(R_{d-k}, k))."""
+def even_series_inverse(degree: int) -> SchurVector:
+    """Degree-d term R_d of (1 + sum over k >= 1 of h_{2k})^-1: R_0 = 1 and
+    R_d = -(sum over even 2 <= k <= d of h_k R_{d-k}). Applying omega gives the
+    term of (1 + sum over k >= 1 of e_{2k})^-1."""
     if degree == 0:
         return SchurVector.unit()
     acc = SchurVector.zero(degree)
     for part in range(2, degree + 1, 2):
-        acc = acc - pieri(even_series_inverse(degree - part, pieri), part)
+        acc = acc - pieri_h(even_series_inverse(degree - part), part)
     return acc
 
 

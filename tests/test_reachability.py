@@ -47,12 +47,12 @@ ALLOWED = {
     "poset_homology.IntervalComplex.boundary_columns": SPANS,
     "rep_ring.schur_multiply": SPANS,
     "rep_ring.h_expansion": SPANS + ", and schur_multiply calls it",
+    "rep_ring.pieri_e": SPANS + "; schur_multiply's column case calls it",
     "rep_ring.SchurVector.scale": "schur_multiply is its one caller",
     "rep_ring.RepSeries.__mul__": SPANS,
     "rep_ring.RepSeries.invert": SPANS,
     "combinatorics.enumerate_chains": SPANS,
     "combinatorics.all_chains": "in coxtoric.__all__",
-    "rep_ring.omega": "in coxtoric.__all__",
     "combinatorics.validate_chain": OP + ", through closure_curve_witness",
     "wonderful_model.closure_curve_witness": OP,
     "wonderful_model.closure_refinement": OP + ", through closure_curve_witness",

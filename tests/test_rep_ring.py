@@ -81,16 +81,19 @@ def test_omega():
     for n in range(0, 7):
         v = random_vector(n, rng)
         assert omega(omega(v)) == v
-        for k in range(0, 3):
-            assert omega(pieri_h(v, k)) == pieri_e(omega(v), k)
 
 
 def test_omega_ring_homomorphism():
-    rng = random.Random(11)
-    for n in range(0, 6):
-        v = random_vector(n, rng)
-        for k in range(0, 9 - n):
-            assert omega(pieri_h(v, k)) == pieri_e(omega(v), k)
+    """omega is the sign twist on characters: for every lam of n <= 8,
+    omega(s_lam) takes the value (-1)^(n - len mu) chi_lam(mu) at mu. Tensoring
+    with the sign character commutes with induction, so omega is a ring
+    homomorphism that swaps h_k and e_k."""
+    for n in range(0, 9):
+        for lam in partitions_of(n):
+            chi = to_class_function(S(n, {lam: 1}))
+            twisted = to_class_function(omega(S(n, {lam: 1})))
+            for mu in partitions_of(n):
+                assert twisted(mu) == (-1) ** (n - len(mu)) * chi(mu), (lam, mu)
 
 
 def test_character_values():
@@ -262,11 +265,11 @@ def test_series_h_self_inverse():
 def test_even_series_inverse_matches_general_inverse():
     """The one Pieri recurrence gives every cell of the general RepSeries
     inverse through degree 12: the t^0 cells for the h-series, the t^(d/2)
-    cells for the e-series, and zero in odd degree."""
+    cells for the e-series read through omega, and zero in odd degree."""
     N = 12
-    for pieri, unit, tpow in ((pieri_h, h, lambda d: 0), (pieri_e, e, lambda d: d // 2)):
+    for twist, unit, tpow in ((lambda v: v, h, lambda d: 0), (omega, e, lambda d: d // 2)):
         series = RepSeries(N, {(d, tpow(d)): unit(d) for d in range(0, N + 1, 2)})
-        expected = {(d, tpow(d)): even_series_inverse(d, pieri) for d in range(N + 1)}
+        expected = {(d, tpow(d)): twist(even_series_inverse(d)) for d in range(N + 1)}
         assert series.invert().terms == {key: v for key, v in expected.items() if not v.is_zero()}
         assert all(expected[(d, tpow(d))].is_zero() for d in range(1, N + 1, 2))
 
