@@ -10,10 +10,12 @@ Two fully independent pipelines produce the representation on each H^i:
   verify-poset-series reads. The test suite keeps the expanded signed sum over
   ordered tuples of even parts as its oracle.
 * the poset route: the Hopf trace gives the character of the top homology of
-  the even-subset lattice, computed from order complexes; it is twisted by
-  sign, induced up on the character side by rep_ring.induce_trivial and
-  decomposed by Murnaghan-Nakayama values. No Pieri rule is used, so the
-  routes share no step.
+  the even-subset lattice, counted by orbit class of fixed sets once the
+  order complex's matching has shown the homology concentrated, and checked
+  at the identity against the matching's rank; it is twisted by sign,
+  induced up on the character side by rep_ring.induce_trivial and decomposed
+  by Murnaghan-Nakayama values. No Pieri rule is used, so the routes share
+  no step.
 
 Their degreewise agreement inside a t-series, together with the closed-form
 Betti numbers A_{2i} * C(n, 2i), is the contract the acceptance suite pins.
@@ -69,7 +71,7 @@ def rep_via_poset(n: int, i: int) -> SchurVector:
     if 2 * i > n:
         return SchurVector.zero(n)
     top = equivariant_top_character(2 * i)
-    twisted = ClassFunction(2 * i, {nu: (-1) ** len(nu) * c for nu, c in top.values.items()})
+    twisted = ClassFunction._of(2 * i, {nu: (-1) ** len(nu) * c for nu, c in top.values.items()})
     return decompose(induce_trivial(twisted, n))
 
 

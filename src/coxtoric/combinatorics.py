@@ -153,10 +153,6 @@ def cycle_type_representative(mu: Partition) -> tuple[int, ...]:
     return tuple(images)
 
 
-def apply_permutation(w: tuple[int, ...], subset: frozenset) -> frozenset:
-    return frozenset(w[i - 1] for i in subset)
-
-
 def validate_chain(chain: SubsetChain) -> None:
     if len(chain) < 2:
         raise ValueError("a chain has at least two blocks")

@@ -32,6 +32,9 @@ Restrictions are multiplicity-free and multiplicities nonnegative, so a
 partition of n+1 with positive multiplicity restricts inside the target's
 support; it is a support partition plus one box, read off the Pieri product
 of the support with h_1. Every other partition is forced to 0 and left out.
+A witness the search finds is re-checked on the character side, by
+Murnaghan-Nakayama values at cycle types with one fixed point added, so a
+fault in the corner removal cannot pass as feasible.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def branching_certificate(target: SchurVector) -> dict:
     target's support, in decreasing order of (dimension, partition): each
     multiplicity is bounded by the remaining target, and a branch is pruned
     when some remaining coordinate can no longer be covered. An infeasible
-    answer is therefore exhaustive, not heuristic.
+    answer is therefore exhaustive, not heuristic; a feasible one is re-checked
+    on characters, and ArithmeticError is raised if it fails there.
     """
     n = target.n
     if not target.is_integral() or any(c < 0 for c in target.coeffs.values()):
@@ -179,6 +183,13 @@ def branching_certificate(target: SchurVector) -> dict:
     witness = search(0, {mu: int(c) for mu, c in target.coeffs.items()})
     if witness is None:
         return {"status": "infeasible", "witness": None}
+    # Re-checked on characters, with no corner removal: chi_lam restricted to
+    # S_n takes at mu the value of chi_lam at mu with one fixed point added.
+    lifted = to_class_function(SchurVector._of(n + 1, witness))
+    restricted = ClassFunction._of(n, {mu: lifted(mu + (1,)) for mu in partitions_of(n)})
+    if restricted != to_class_function(target):
+        raise ArithmeticError(f"the witness {witness} does not restrict to the target "
+                              "on characters")
     entries = sorted(witness.items(), reverse=True)
     return {"status": "feasible",
             "witness": [{"partition": list(lam), "multiplicity": c} for lam, c in entries]}

@@ -19,14 +19,28 @@ count in that degree and vanishes elsewhere. The critical counts are
 1, 5, 61, 1385, 50521 at sizes 2..10, all in the top degree.
 
 The symmetric group character on the top homology is extracted through the
-Hopf trace: for one representative per cycle type, the alternating sum of
+Hopf trace: for one permutation w per cycle type, the alternating sum of
 counts of setwise-fixed chains equals the alternating sum of homology traces.
 A chain fixed setwise is fixed blockwise, because its members have pairwise
 distinct sizes, so the chain count really is the trace on the chain group.
-The fixed chains are the chains of the subposet of fixed elements, and their
-signed count is summed by top element: a chain topped by e is e alone or a
-chain topped by some fixed f < e with e added one degree up. The trace reads
-the element list only, never the chains.
+The fixed chains are the chains of the subposet of w-fixed elements, and
+their signed count is summed by top element: a chain topped by e is e alone
+or a chain topped by some fixed f < e with e added one degree up.
+
+That subposet is read by orbit class, never element by element. Let w have a
+odd and b even cycles. A w-fixed set is a union of cycles, and its size is
+even exactly when it holds an even number of the odd cycles; its class (p, q)
+counts the odd and the even cycles it holds. The fixed sets below one of
+class (p, q) are the unions of some of its own cycles, so C(p, r) * C(q, s)
+of them have class (r, s), whatever the set. The signed count topped(p, q) of
+the fixed chains a set tops therefore depends on its class only, and
+topped(p, q) = 1 - sum over the classes (r, s) below of
+C(p, r) * C(q, s) * topped(r, s). The trace weights each proper class by its
+C(a, p) * C(b, q) sets and subtracts the empty chain, in degree -1: it runs
+over (a/2 + 1)(b + 1) classes instead of 2^(n-1) sets (Stanley, J. Combin.
+Theory Ser. A 32, 1982). At the identity the trace is the dimension of the
+top homology, so it must equal the rank from the matching; two computations
+that share no step are compared there on every call.
 
 Whitney homology induces the top character up on the character side
 (rep_ring.induce_trivial) and decomposes the result, so no Pieri rule is used.
@@ -46,11 +60,7 @@ from itertools import combinations
 from math import comb
 from operator import lt
 
-from .combinatorics import (
-    apply_permutation,
-    cycle_type_representative,
-    partitions_of,
-)
+from .combinatorics import partitions_of
 # Unused here; perfbench/tracer.py SPANS and perfbench/check_tracer.py name it.
 from .linalg import sparse_rank
 from .rep_ring import (
@@ -67,12 +77,6 @@ from .rep_ring import (
 MAX_BRUTE_FORCE_BOUND = 10
 
 
-def _elements(top_size: int) -> list[frozenset]:
-    """Even subsets strictly between {} and [top_size], by size, then lex."""
-    return [frozenset(sub) for size in range(2, top_size - 1, 2)
-            for sub in combinations(range(1, top_size + 1), size)]
-
-
 class IntervalComplex:
     """Order complex of the open interval between {} and a set of even size."""
 
@@ -81,7 +85,9 @@ class IntervalComplex:
             raise ValueError("top size must be even and in the brute-force "
                              f"range 2..{MAX_BRUTE_FORCE_BOUND}")
         self.top_size = top_size
-        self.elements = elements = _elements(top_size)
+        # Even subsets strictly between {} and [top_size], by size, then lex.
+        self.elements = elements = [frozenset(sub) for size in range(2, top_size - 1, 2)
+                                    for sub in combinations(range(1, top_size + 1), size)]
         above = {e: [f for f in elements if e < f] for e in elements}
         self.chains: dict[int, tuple] = {-1: ((),)}
         level = [(e,) for e in elements]
@@ -220,10 +226,27 @@ def homology_ranks(interval_size: int) -> dict[int, int]:
 
 def cm_concentration_check(n: int) -> bool:
     """True iff the homology below [n] lives only in degree n/2."""
-    if n < 0 or n % 2:
-        raise ValueError("n must be even and nonnegative")
-    ranks = homology_ranks(n)
-    return set(ranks) == {n // 2}
+    return set(homology_ranks(n)) == {n // 2}
+
+
+def _hopf_trace(n: int) -> ClassFunction:
+    """The Hopf trace below [n], n even and positive, by orbit class (see the
+    module docstring), with neither the concentration nor the rank check.
+    C(p, r) is 0 for r > p, so a sum over the classes met so far is a sum
+    over the classes below."""
+    values = {}
+    for mu in partitions_of(n):
+        a = sum(part % 2 for part in mu)
+        b = len(mu) - a
+        topped: dict[tuple[int, int], int] = {}
+        for p in range(0, a + 1, 2):  # every class below (p, q) comes before it
+            for q in range(b + 1):
+                if p + q and (p, q) != (a, b):
+                    topped[p, q] = 1 - sum(comb(p, r) * comb(q, s) * t
+                                           for (r, s), t in topped.items())
+        lefschetz = sum(comb(a, p) * comb(b, q) * t for (p, q), t in topped.items()) - 1
+        values[mu] = (-1) ** (n // 2) * lefschetz
+    return ClassFunction._of(n, values)
 
 
 @lru_cache(maxsize=None)
@@ -231,31 +254,22 @@ def equivariant_top_character(n: int) -> ClassFunction:
     """Character of S_n on the top homology of the interval below [n].
 
     Uses the Hopf trace over fixed chains, which needs the concentration
-    check to pass first; a failure there aborts loudly rather than returning
-    a wrong character.
+    check to pass first, and compares its value at the identity with the
+    rank; a failure of either aborts loudly rather than returning a wrong
+    character.
     """
-    if n < 0 or n % 2:
-        raise ValueError("n must be even and nonnegative")
     if n == 0:
-        return ClassFunction(0, {(): 1})
+        return ClassFunction._of(0, {(): 1})
     if not cm_concentration_check(n):
         raise ArithmeticError(
             f"homology below [{n}] is not concentrated in degree {n // 2}; "
             "the fixed-chain trace does not apply")
-    sign_top = (-1) ** (n // 2)
-    elements = _elements(n)
-    values: dict[tuple, int] = {}
-    for mu in partitions_of(n):
-        w = cycle_type_representative(mu)
-        fixed = [e for e in elements if apply_permutation(w, e) == e]
-        # topped[j]: signed count of fixed chains whose top element is fixed[j].
-        # Elements are sorted by size, so every f < fixed[j] comes before it.
-        topped: list[int] = []
-        for j, e in enumerate(fixed):
-            topped.append(1 - sum(t for f, t in zip(fixed[:j], topped) if f < e))
-        lefschetz = sum(topped) - 1  # the empty chain sits in degree -1
-        values[mu] = sign_top * lefschetz
-    return ClassFunction(n, values)
+    char = _hopf_trace(n)
+    rank = homology_ranks(n)[n // 2]
+    if char((1,) * n) != rank:
+        raise ArithmeticError(f"the trace at the identity, {char((1,) * n)}, is not the "
+                              f"rank {rank} of the top homology below [{n}]")
+    return char
 
 
 def top_interval_representation(n: int) -> SchurVector:

@@ -24,14 +24,15 @@ a division or an input makes it rational: _exact, the one division (by n! in
 decompose), returns an int when the quotient is whole, and the validating
 constructor keeps ints and Fractions and reads the rest as Fractions.
 
-Two constructors build a SchurVector. The public SchurVector(n, coeffs) and
-scale validate: every key must be a partition of n, and every coefficient is
-read as above. The trusted SchurVector._of(n, coeffs) only drops zero
-coefficients. It serves the rules whose output is valid by construction, given
-valid input: pieri_h, __add__, __neg__, restrict and omega.
+Two constructors build a SchurVector, and two a ClassFunction. The public
+SchurVector(n, coeffs), scale and ClassFunction(n, values) validate: every key
+must be a partition of n, and every value is read as above. The trusted
+SchurVector._of and ClassFunction._of only drop zeros. They serve the rules
+whose output is valid by construction, given valid input: pieri_h, __add__,
+__neg__, restrict, omega, to_class_function, induce_trivial and decompose.
 Their keys are strips added to, corners removed from, or conjugates of
-partitions, and their coefficients are sums and negatives of ints and
-Fractions.
+partitions, or the partitions_of list itself, and their values are sums,
+products and negatives of ints and Fractions, or _exact quotients.
 """
 
 from __future__ import annotations
@@ -265,6 +266,15 @@ class ClassFunction:
         self.n = n
         self.values = _validated(n, values, "cycle type")
 
+    @classmethod
+    def _of(cls, n: int, values: dict) -> "ClassFunction":
+        """Trusted constructor: values already maps partitions of n to ints and
+        Fractions, so only the zero values are dropped."""
+        f = object.__new__(cls)
+        f.n = n
+        f.values = {mu: v for mu, v in values.items() if v}
+        return f
+
     def __call__(self, mu: Partition):
         return self.values.get(tuple(mu), 0)
 
@@ -281,7 +291,7 @@ def to_class_function(v: SchurVector) -> ClassFunction:
     """Character of v: on each cycle type, the sum of c times the
     Murnaghan-Nakayama value over v's own constituents only, so a vector with
     few constituents never builds the full character table."""
-    return ClassFunction(v.n, {
+    return ClassFunction._of(v.n, {
         mu: sum(c * _mn_value(lam, mu) for lam, c in v.coeffs.items())
         for mu in partitions_of(v.n)})
 
@@ -309,7 +319,7 @@ def induce_trivial(f: ClassFunction, n: int) -> ClassFunction:
                     break
             value += c * ways
         values[mu] = value
-    return ClassFunction(n, values)
+    return ClassFunction._of(n, values)
 
 
 def decompose(f: ClassFunction) -> SchurVector:
@@ -317,7 +327,7 @@ def decompose(f: ClassFunction) -> SchurVector:
     when f is not in the virtual character lattice."""
     table = character_table(f.n)
     weighted = [(mu, fv * class_data(mu)[1]) for mu, fv in f.values.items()]
-    return SchurVector(f.n, {
+    return SchurVector._of(f.n, {
         lam: _exact(sum(w * table[lam][mu] for mu, w in weighted), factorial(f.n))
         for lam in partitions_of(f.n)})
 

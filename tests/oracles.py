@@ -5,10 +5,10 @@ call the code it checks, so a test that compares the two compares
 independent computations. The file name does not match pytest's test_*.py
 pattern, so it is imported by the tests and never collected itself.
 
-It also holds the constructors only the tests use: the classes h_k and e_k,
-the trivial and sign characters, the character inner product, and the
-pairing basis of the cup span. The package keeps only what its commands run
-(tests/test_reachability.py enforces that).
+It also holds the constructors only the tests use: the permutation action on
+subsets, the classes h_k and e_k, the trivial and sign characters, the
+character inner product, and the pairing basis of the cup span. The package
+keeps only what its commands run (tests/test_reachability.py enforces that).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from itertools import combinations
 from math import comb, factorial
 
 from coxtoric.cohomology import betti, cohomology_series_poset
-from coxtoric.combinatorics import Partition, partitions_of, validate_chain
+from coxtoric.combinatorics import (Partition, cycle_type_representative, partitions_of,
+                                   validate_chain)
 from coxtoric.cup_product import degree_one_class, permute_basis_key
 from coxtoric.poset_homology import IntervalComplex, poset_series_sides
 from coxtoric.rep_ring import (
@@ -67,6 +68,11 @@ def permutation_cycle_type(w: tuple[int, ...]) -> Partition:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def apply_permutation(w: tuple[int, ...], subset: frozenset) -> frozenset:
+    """Image of a subset of [n] under w, given as the tuple of images of 1..n."""
+    return frozenset(w[i - 1] for i in subset)
 
 
 # Linear algebra
@@ -165,6 +171,26 @@ def substitute_t(series: RepSeries) -> dict[int, SchurVector]:
 def euler_characteristic(cx: IntervalComplex) -> int:
     """Reduced Euler characteristic (the empty chain counts in degree -1)."""
     return sum((-1) ** d * len(chains) for d, chains in cx.chains.items())
+
+
+def hopf_trace_by_elements(n: int) -> dict[Partition, int]:
+    """Top character below [n], n even and positive, by the Hopf trace over
+    fixed elements: for a representative w of each cycle type, list the even
+    proper subsets that w fixes, sum the signed fixed chains by top element,
+    and subtract the empty chain. No orbit class is used."""
+    elements = [frozenset(sub) for size in range(2, n - 1, 2)
+                for sub in combinations(range(1, n + 1), size)]
+    values = {}
+    for mu in partitions_of(n):
+        w = cycle_type_representative(mu)
+        fixed = [x for x in elements if apply_permutation(w, x) == x]
+        # topped[j]: signed count of fixed chains whose top element is fixed[j];
+        # elements come by size, so every f < fixed[j] comes before it.
+        topped: list[int] = []
+        for j, x in enumerate(fixed):
+            topped.append(1 - sum(t for f, t in zip(fixed[:j], topped) if f < x))
+        values[mu] = (-1) ** (n // 2) * (sum(topped) - 1)
+    return values
 
 
 def verify_poset_series_identity(N: int) -> bool:

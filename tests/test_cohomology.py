@@ -89,6 +89,8 @@ PINNED_OUTPUTS = {
         "ce28cab1967cb8151cdcb0f2b772e8b144439a9ce739ea5de8c84076a7cd4f5a",
     "branching-check --n 5":
         "7303a336c4c3b092991401eb950e6722aca6cc59b31c05c4eda88afd7abaa678",
+    "poset-homology --n 10 --bound 10":
+        "ebab84e4d053ad92c69e6b4cda26de295ba1999859f3d4e607d0b2f06b000630",
 }
 
 
@@ -128,6 +130,24 @@ def test_induction_signs_validate_no_pieri_output(monkeypatch):
     rep_ring.even_series_inverse.cache_clear()
     reps = [rep_via_induction(14, i) for i in range(8)]
     assert [rep.dimension() for rep in reps] == [betti(14, i) for i in range(8)]
+    assert sizes and max(sizes) <= 1
+
+
+def test_poset_series_validates_nothing_it_built(monkeypatch):
+    """The sign twist, induce_trivial and decompose build through the
+    trusted constructors, so with the top characters cached the poset
+    series through N = 8 validates only the constants zero and unit."""
+    for n in range(0, 9, 2):
+        poset_homology.equivariant_top_character(n)
+    validated = rep_ring._validated
+    sizes = []
+
+    def counted(n, entries, kind):
+        sizes.append(len(entries or {}))
+        return validated(n, entries, kind)
+
+    monkeypatch.setattr(rep_ring, "_validated", counted)
+    assert cohomology_series_poset(8) == cohomology_series_formula(8)
     assert sizes and max(sizes) <= 1
 
 

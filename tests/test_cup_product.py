@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import comb
 
 import pytest
 
-from coxtoric import cup_product
+from coxtoric import cli, cup_product
 from coxtoric.cup_product import (
     branching_certificate,
     branching_infeasibility,
@@ -155,6 +156,27 @@ def test_branching_rejects_unreachable_target():
     # an extra summand, so a lone copy of (3,1) cannot be reached
     cert = branching_certificate(S(4, {(3, 1): 1}))
     assert cert["status"] == "infeasible"
+
+
+def _restrict_reading_the_row_above(v):
+    """restrict with a faulty corner test, lam[i] > lam[i - 1]; its keys need
+    not be partitions, so it builds through the trusted constructor."""
+    out = {}
+    for lam, c in v.coeffs.items():
+        for i in range(len(lam)):
+            if i == len(lam) - 1 or lam[i] > lam[i - 1]:
+                mu = lam[:i] + ((lam[i] - 1,) if lam[i] > 1 else ()) + lam[i + 1:]
+                out[mu] = out.get(mu, 0) + c
+    return S._of(v.n - 1, out)
+
+
+def test_branching_witness_rechecked_on_characters(monkeypatch, capsys):
+    """With the faulty corner test the search finds (4,1,1,1) + (3,2,1,1) at
+    n = 6; the character re-check refuses it, so the command exits 1."""
+    monkeypatch.setattr(cup_product, "restrict", _restrict_reading_the_row_above)
+    assert cli.main(["branching-check", "--n", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and list(json.loads(err)) == ["discrepancy"]
 
 
 def test_branching_witness_reconstructs_general_target():

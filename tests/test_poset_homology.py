@@ -12,11 +12,7 @@ import pytest
 
 from coxtoric import cli, poset_homology
 from coxtoric.cohomology import rep_via_poset
-from coxtoric.combinatorics import (
-    apply_permutation,
-    cycle_type_representative,
-    partitions_of,
-)
+from coxtoric.combinatorics import cycle_type_representative, partitions_of
 from coxtoric.linalg import sparse_rank
 from coxtoric.poset_homology import (
     IntervalComplex,
@@ -33,10 +29,13 @@ from coxtoric.poset_homology import (
 from coxtoric.rep_ring import RepSeries, SchurVector, pieri_h
 
 from oracles import (
+    apply_permutation,
     boundary_product_is_zero,
     euler_characteristic,
     h,
+    hopf_trace_by_elements,
     verify_poset_series_identity,
+    zigzag_numbers,
 )
 
 S = SchurVector
@@ -264,6 +263,63 @@ def _fixed_chain_character(n):
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_top_character_matches_fixed_chain_filter(n):
     assert equivariant_top_character(n).values == _fixed_chain_character(n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_class_trace_matches_element_loop(n):
+    assert equivariant_top_character(n).values == hopf_trace_by_elements(n)
+
+
+def test_class_trace_product_formula():
+    """chi(w) = (-1)^((n - a)/2 + b) A_a for w with a odd and b even cycles,
+    on every cycle type of every even n <= 24, with A_a from the
+    boustrophedon oracle."""
+    secant = zigzag_numbers(24)
+    for n in range(2, 25, 2):
+        char = poset_homology._hopf_trace(n)
+        for mu in partitions_of(n):
+            a = sum(part % 2 for part in mu)
+            b = len(mu) - a
+            assert char(mu) == (-1) ** ((n - a) // 2 + b) * secant[a], mu
+
+
+def _comb_off_by_one(m, k):
+    """C(m, k), one too many for every proper class, 0 < k < m."""
+    return comb(m, k) + (0 < k < m)
+
+
+def test_class_count_off_by_one_is_caught(monkeypatch, capsys):
+    """A class count off by one breaks the comparison with the element loop,
+    and the rank check makes poset-homology exit 1 with nothing on stdout."""
+    assert homology_ranks(8) == {4: 1385}  # cached, so the matching never sees the patch
+    monkeypatch.setattr(poset_homology, "comb", _comb_off_by_one)
+    assert poset_homology._hopf_trace(8).values != hopf_trace_by_elements(8)
+    equivariant_top_character.cache_clear()
+    try:
+        assert cli.main(["poset-homology", "--n", "8"]) == 1
+    finally:
+        equivariant_top_character.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == "" and "not the rank 1385" in json.loads(err)["discrepancy"]
+
+
+def test_miscounted_rank_is_caught(monkeypatch, capsys):
+    """A checker that counts every top chain as critical, as one reading
+    paired_per_length[d + 2] does, reports rank 2520 at size 8; the Hopf
+    trace at the identity, 1385, refuses it."""
+    def every_top_chain_critical(top_size, pairs):
+        return {top_size // 2: poset_homology._chain_counts(top_size)[top_size // 2 - 2]}
+
+    monkeypatch.setattr(poset_homology, "check_morse_certificate", every_top_chain_critical)
+    homology_ranks.cache_clear()
+    equivariant_top_character.cache_clear()
+    try:
+        assert cli.main(["poset-homology", "--n", "8"]) == 1
+    finally:
+        homology_ranks.cache_clear()
+        equivariant_top_character.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == "" and "not the rank 2520" in json.loads(err)["discrepancy"]
 
 
 def test_top_character_identity_is_rank():
