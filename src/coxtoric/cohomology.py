@@ -10,23 +10,28 @@ Two fully independent pipelines produce the representation on each H^i:
   verify-poset-series reads. The test suite keeps the expanded signed sum over
   ordered tuples of even parts as its oracle.
 * the poset route: the Hopf trace gives the character of the top homology of
-  the even-subset lattice, counted by orbit class of fixed sets once the
-  order complex's matching has shown the homology concentrated, and checked
-  at the identity against the matching's rank; it is twisted by sign,
+  the even-subset lattice, counted by orbit class of fixed sets; the order
+  complex's matching must give that homology in the top degree alone, with
+  the trace at the identity as its rank. The character is twisted by sign,
   induced up on the character side by rep_ring.induce_trivial and decomposed
   by Murnaghan-Nakayama values. No Pieri rule is used, so the routes share
   no step.
 
-Their degreewise agreement inside a t-series, together with the closed-form
-Betti numbers A_{2i} * C(n, 2i), is the contract the acceptance suite pins.
+This module holds both series identities the verify commands check.
+verify-cohomology compares the two routes degreewise inside a t-series
+(cohomology_series_poset against cohomology_series_formula);
+verify-poset-series compares the alternating top interval homologies with
+the inverse of 1 + sum h_{2k} (poset_series_sides). Together with the
+closed-form Betti numbers A_{2i} * C(n, 2i), they are the contract the
+acceptance suite pins.
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from . import poset_homology
 from .combinatorics import secant_numbers
-from .poset_homology import equivariant_top_character
 from .rep_ring import (ClassFunction, RepSeries, SchurVector, decompose, even_series_inverse,
                        induce_trivial, omega, pieri_h)
 
@@ -70,7 +75,7 @@ def rep_via_poset(n: int, i: int) -> SchurVector:
         raise ValueError("n and i must be nonnegative")
     if 2 * i > n:
         return SchurVector.zero(n)
-    top = equivariant_top_character(2 * i)
+    top = poset_homology.equivariant_top_character(2 * i)
     twisted = ClassFunction._of(2 * i, {nu: (-1) ** len(nu) * c for nu, c in top.values.items()})
     return decompose(induce_trivial(twisted, n))
 
@@ -99,3 +104,20 @@ def cohomology_series_formula(N: int) -> RepSeries:
 def verify_cohomology_series(N: int = 8) -> bool:
     """Degreewise equality in n and t of the poset and formula series."""
     return cohomology_series_poset(N) == cohomology_series_formula(N)
+
+
+def poset_series_sides(N: int):
+    """Both sides of the inverse-series identity for top interval homology,
+    as maps even degree -> SchurVector through degree N.
+
+    Left: 1 + sum over even n of (-1)^{n/2} (top homology below [n]), with the
+    homology characters computed by the order-complex route. Right: the series
+    inverse of 1 + sum over even n >= 2 of h_n, from the cached
+    even_series_inverse(n), whose omega rep_via_induction reads.
+    """
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    lhs = {n: -poset_homology.top_interval_representation(n) if n % 4
+           else poset_homology.top_interval_representation(n) for n in range(0, N + 1, 2)}
+    rhs = {n: even_series_inverse(n) for n in range(0, N + 1, 2)}
+    return lhs, rhs

@@ -82,14 +82,17 @@ def cup_span_dimension(n: int) -> int:
 
     Every reduced product is, up to sign, one of the canonical pairing basis
     elements, and all of them occur; the count is verified by actually
-    reducing every product of two classes. The pairings of [n] number
-    3 * C(n, 4), so reduced keys that are all well-formed pairings and are
-    that many are exactly the pairing basis.
+    reducing products of two classes. Reversing a product only flips its
+    sign, since cup_reduce orders the two pairs, and a square shares its
+    indices and reduces to nothing, so each unordered pair of distinct index
+    pairs is reduced once. The pairings of [n] number 3 * C(n, 4), so reduced
+    keys that are all well-formed pairings and are that many are exactly the
+    pairing basis.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     pairs = list(combinations(range(1, n + 1), 2))
-    seen = {key for a in pairs for b in pairs for key in cup_reduce(a, b)}
+    seen = {key for a, b in combinations(pairs, 2) for key in cup_reduce(a, b)}
     if len(seen) != 3 * comb(n, 4) or not all(_is_pairing(key, n) for key in seen):
         raise ArithmeticError("reduced products do not match the pairing basis")
     return len(seen)

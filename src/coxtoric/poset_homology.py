@@ -38,16 +38,24 @@ topped(p, q) = 1 - sum over the classes (r, s) below of
 C(p, r) * C(q, s) * topped(r, s). The trace weights each proper class by its
 C(a, p) * C(b, q) sets and subtracts the empty chain, in degree -1: it runs
 over (a/2 + 1)(b + 1) classes instead of 2^(n-1) sets (Stanley, J. Combin.
-Theory Ser. A 32, 1982). At the identity the trace is the dimension of the
-top homology, so it must equal the rank from the matching; two computations
-that share no step are compared there on every call.
+Theory Ser. A 32, 1982).
+
+The trace is the alternating sum of the homology characters, so it is the top
+character only when the homology is concentrated in the top degree, and its
+value at the identity is then the top rank. One comparison checks both, on
+every call: the ranks from the matching must equal {i: trace at the
+identity}. The two sides share no step.
 
 Whitney homology induces the top character up on the character side
-(rep_ring.induce_trivial) and decomposes the result, so no Pieri rule is used.
+(rep_ring.induce_trivial) and decomposes the result. The module takes only
+character-side names from rep_ring, so no Pieri rule and no series inverse is
+used here; both series identities the verify commands check live in
+cohomology.
 
 Two results are cached because commands read them again: the homology ranks
-(re-read by the concentration check) and the top character (re-read by every
-Whitney degree, and by every n of a poset-route series); the complex is not
+(read by the top character's comparison, then again by poset-homology for
+its ranks and its "concentrated" field) and the top character (re-read by
+rep_via_poset for every n of the poset-route series); the complex is not
 kept.
 """
 
@@ -63,13 +71,7 @@ from operator import lt
 from .combinatorics import partitions_of
 # Unused here; perfbench/tracer.py SPANS and perfbench/check_tracer.py name it.
 from .linalg import sparse_rank
-from .rep_ring import (
-    ClassFunction,
-    SchurVector,
-    decompose,
-    even_series_inverse,
-    induce_trivial,
-)
+from .rep_ring import ClassFunction, SchurVector, decompose, induce_trivial
 
 # Largest interval size the brute-force route is allowed to reach: the size-10
 # matching and its check take about 1.6 s and 76 MB, size 12 has 7.48 M top
@@ -231,7 +233,7 @@ def cm_concentration_check(n: int) -> bool:
 
 def _hopf_trace(n: int) -> ClassFunction:
     """The Hopf trace below [n], n even and positive, by orbit class (see the
-    module docstring), with neither the concentration nor the rank check.
+    module docstring), not yet compared with the ranks.
     C(p, r) is 0 for r > p, so a sum over the classes met so far is a sum
     over the classes below."""
     values = {}
@@ -253,22 +255,23 @@ def _hopf_trace(n: int) -> ClassFunction:
 def equivariant_top_character(n: int) -> ClassFunction:
     """Character of S_n on the top homology of the interval below [n].
 
-    Uses the Hopf trace over fixed chains, which needs the concentration
-    check to pass first, and compares its value at the identity with the
-    rank; a failure of either aborts loudly rather than returning a wrong
-    character.
+    The Hopf trace by orbit class is the alternating sum of the homology
+    characters, so it is the top character when the homology is concentrated
+    in degree n/2, and its value at the identity is then the rank there. One
+    comparison checks both: the ranks from the matching must be exactly
+    {n/2: trace at the identity}. A failure aborts loudly rather than
+    returning a wrong character.
     """
     if n == 0:
         return ClassFunction._of(0, {(): 1})
-    if not cm_concentration_check(n):
-        raise ArithmeticError(
-            f"homology below [{n}] is not concentrated in degree {n // 2}; "
-            "the fixed-chain trace does not apply")
     char = _hopf_trace(n)
-    rank = homology_ranks(n)[n // 2]
-    if char((1,) * n) != rank:
-        raise ArithmeticError(f"the trace at the identity, {char((1,) * n)}, is not the "
-                              f"rank {rank} of the top homology below [{n}]")
+    ranks = homology_ranks(n)
+    at_identity = char((1,) * n)
+    if ranks != {n // 2: at_identity}:
+        raise ArithmeticError(
+            f"the trace at the identity, {at_identity}, is not the rank {ranks.get(n // 2, 0)} "
+            f"in degree {n // 2} below [{n}], or the homology is not concentrated there: "
+            f"ranks {ranks}")
     return char
 
 
@@ -284,21 +287,3 @@ def whitney_homology(n: int, i: int) -> SchurVector:
     if not (0 <= 2 * i <= n):
         raise ValueError("need 0 <= 2i <= n")
     return decompose(induce_trivial(equivariant_top_character(2 * i), n))
-
-
-def poset_series_sides(N: int):
-    """Both sides of the inverse-series identity for top interval homology,
-    as maps even degree -> SchurVector through degree N.
-
-    Left: 1 + sum over even n of (-1)^{n/2} (top homology below [n]), with the
-    homology characters computed by the order-complex route. Right: the series
-    inverse of 1 + sum over even n >= 2 of h_n, from the cached
-    even_series_inverse(n), whose omega the formula route of
-    verify-cohomology reads.
-    """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    lhs = {n: -top_interval_representation(n) if n % 4 else top_interval_representation(n)
-           for n in range(0, N + 1, 2)}
-    rhs = {n: even_series_inverse(n) for n in range(0, N + 1, 2)}
-    return lhs, rhs

@@ -18,11 +18,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from coxtoric.cohomology import betti, cohomology_series_poset
+from coxtoric.cohomology import betti, cohomology_series_poset, poset_series_sides
 from coxtoric.combinatorics import (Partition, cycle_type_representative, partitions_of,
                                    validate_chain)
 from coxtoric.cup_product import degree_one_class, permute_basis_key
-from coxtoric.poset_homology import IntervalComplex, poset_series_sides
+from coxtoric.poset_homology import IntervalComplex
 from coxtoric.rep_ring import (
     ClassFunction,
     RepSeries,

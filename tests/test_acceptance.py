@@ -13,6 +13,7 @@ from coxtoric.cohomology import (
     betti,
     cohomology_series_formula,
     cohomology_series_poset,
+    poset_series_sides,
     rep_via_induction,
     rep_via_poset,
 )
@@ -25,7 +26,6 @@ from coxtoric.cup_product import (
 from coxtoric.poset_homology import (
     cm_concentration_check,
     homology_ranks,
-    poset_series_sides,
     whitney_homology,
 )
 from coxtoric.rep_ring import SchurVector, restrict

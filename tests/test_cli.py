@@ -117,6 +117,13 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["command"] == "betti-table"
 
 
+def test_unopenable_out_file_is_bad_input(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "table.json"
+    code, out, err = run_cli(capsys, "betti-table", "--n", "4", "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert str(target) in json.loads(err)["error"]
+
+
 def test_verify_commands(capsys):
     code, out, _ = run_cli(capsys, "verify-cohomology", "--N", "6")
     assert code == 0 and json.loads(out)["verified"]
@@ -544,7 +551,7 @@ def test_whitney_claim_only_for_even_n(capsys, n, expected):
      ("cup-rep", "--n", "6")),
     (cup_product, ("_signed_permutation_character", trivial_character),
      ("cup-rep", "--n", "12")),
-    (poset_homology, ("cm_concentration_check", lambda n: False),
+    (poset_homology, ("homology_ranks", lambda n: {n // 2 - 1: 1, n // 2: 61}),
      ("poset-homology", "--n", "6")),
 ], ids=["cup-rep", "cup-rep-12", "poset-homology"])
 def test_discrepancy_is_json(monkeypatch, capsys, target, replacement, argv):
@@ -560,8 +567,23 @@ def test_arithmetic_fault_is_not_a_discrepancy(monkeypatch, capsys):
         return 1 // 0
 
     monkeypatch.setattr(cup_product, "_signed_permutation_character", divide)
-    with pytest.raises(ZeroDivisionError):
-        cli.main(["cup-rep", "--n", "6"])
+    code, out, err = run_cli(capsys, "cup-rep", "--n", "6")
+    assert code == 1 and out == ""
+    assert list(json.loads(err)) == ["fault"]
+    assert json.loads(err)["fault"].startswith("ZeroDivisionError: ")
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError, KeyError])
+def test_fault_is_not_bad_input(monkeypatch, capsys, error):
+    """Only bad input exits 2: an exception the library raises on valid
+    input is a fault, exit 1 with nothing on stdout and no traceback."""
+    def broken(n, i):
+        raise error("injected")
+
+    monkeypatch.setattr(cohomology, "rep_via_induction", broken)
+    code, out, err = run_cli(capsys, "verify-cohomology", "--N", "4")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"fault": f"{error.__name__}: {error('injected')}"}
 
 
 def _wrong_at(module, name, cell, bump):

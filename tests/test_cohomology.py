@@ -255,3 +255,10 @@ def test_each_route_stays_on_its_own_side(monkeypatch, routes, forbidden):
     expected = {name: run() for name, run in routes.items()}
     _forbid(monkeypatch, forbidden)
     assert {name: run() for name, run in routes.items()} == expected
+
+
+def test_poset_module_binds_no_formula_route_name():
+    """The poset route's module holds no Pieri rule, no omega and no series
+    inverse, so its character cannot be routed through the formula side."""
+    formula_side = {"pieri_h", "pieri_e", "omega", "even_series_inverse"}
+    assert formula_side & vars(poset_homology).keys() == set()

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from coxtoric import cli, poset_homology
-from coxtoric.cohomology import rep_via_poset
+from coxtoric.cohomology import poset_series_sides, rep_via_poset
 from coxtoric.combinatorics import cycle_type_representative, partitions_of
 from coxtoric.linalg import sparse_rank
 from coxtoric.poset_homology import (
@@ -22,7 +22,6 @@ from coxtoric.poset_homology import (
     equivariant_top_character,
     homology_ranks,
     morse_certificate,
-    poset_series_sides,
     top_interval_representation,
     whitney_homology,
 )
