@@ -19,9 +19,8 @@ _EXPORTS = {
     "rep_ring": ("ClassFunction", "RepSeries", "SchurVector", "decompose",
                  "irrep_dimension", "omega", "pieri_e", "pieri_h", "restrict",
                  "schur_multiply", "to_class_function"),
-    "poset_homology": ("cm_concentration_check", "equivariant_top_character",
-                       "homology_ranks", "top_interval_representation",
-                       "whitney_homology"),
+    "poset_homology": ("equivariant_top_character", "homology_ranks",
+                       "top_interval_representation", "whitney_homology"),
     "cohomology": ("betti", "rep_via_induction", "rep_via_poset",
                    "verify_cohomology_series"),
     "wonderful_model": ("ModelPoint", "closure_refinement", "degeneration_witness",

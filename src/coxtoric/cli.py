@@ -9,14 +9,16 @@ unopenable --out raise it. Any other exception from a handler is a fault of
 the program, and exits 1 with one JSON object on stderr: {"discrepancy": ...}
 for a failed cross-check (a plain ArithmeticError), {"fault": ...}, naming
 the exception's type, for anything else, ZeroDivisionError and the other
-ArithmeticError subclasses included. Identical invocations produce
+ArithmeticError subclasses included. Handlers write nothing to stderr: they
+raise, and main writes the one report. Identical invocations produce
 byte-identical output; orderings are fixed everywhere.
 
 Each command is declared once, by a Command on its handler: its description,
 whether it offers csv, every flag with its default, floor and ceiling, and the
 interval size a run needs. build_parser and _check loop over these; _check
-refuses an out-of-range flag, or an interval of odd size or beyond --bound,
-before any work.
+refuses an out-of-range flag, or an interval of odd size or above the
+library's brute-force ceiling, poset_homology.MAX_BRUTE_FORCE_BOUND, before
+any work.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .combinatorics import partitions_of
 from .poset_homology import MAX_BRUTE_FORCE_BOUND
 from .rep_ring import SchurVector
 
-DEFAULT_BRUTE_FORCE_BOUND = 8
 # Ceiling of model-check --n, which also bounds a point file's n.
 MODEL_CHECK_MAX_N = 7
 # cup-rep cross-checks the Pieri route by the signed trace up to this n.
@@ -65,7 +66,8 @@ class Flag(NamedTuple):
 class Command(NamedTuple):
     """One command's registration, applied to its handler as a decorator.
     interval maps the parsed flags to the interval size a run needs (None if
-    it needs none); a command with an interval lists BOUND among its flags."""
+    it needs none); _check holds that size to MAX_BRUTE_FORCE_BOUND, so the
+    flags that set it need no ceiling of their own."""
 
     name: str
     description: str
@@ -81,8 +83,6 @@ class Command(NamedTuple):
 
 COMMANDS: dict[str, Command] = {}
 HANDLERS: dict[str, Callable] = {}
-BOUND = Flag("bound", DEFAULT_BRUTE_FORCE_BOUND, ceiling=MAX_BRUTE_FORCE_BOUND,
-             help=f"brute-force interval-size bound, 0..{MAX_BRUTE_FORCE_BOUND}")
 DEGREE = Flag("i", ceiling=lambda config: config.n // 2,
               help="restrict to a single cohomological degree")
 
@@ -134,7 +134,8 @@ def _emit(payload: dict, rows: list[dict] | None, config) -> None:
 def _check(config) -> None:
     """Refuse a missing or out-of-range flag, or a run whose interval has an
     odd size, which the even-subset lattice has no interval of, or exceeds
-    --bound, before any work starts."""
+    MAX_BRUTE_FORCE_BOUND, the largest interval the library builds, before
+    any work starts."""
     spec = COMMANDS[config.command]
     for flag in spec.flags:
         value = getattr(config, flag.name)
@@ -150,9 +151,9 @@ def _check(config) -> None:
     size = spec.interval(config) if spec.interval else None
     if size is not None and size % 2:
         raise UsageError("interval size must be even and nonnegative")
-    if size is not None and size > config.bound:
+    if size is not None and size > MAX_BRUTE_FORCE_BOUND:
         raise UsageError(f"{config.command} needs interval size {size}, "
-                         f"beyond the brute-force bound {config.bound}")
+                         f"beyond the brute-force bound {MAX_BRUTE_FORCE_BOUND}")
 
 
 def _row_range(config) -> list[int]:
@@ -172,7 +173,7 @@ def cmd_betti_table(config) -> int:
 
 @Command("rep-table", "Irreducible multiplicities of H^i from the signed induction formula; "
          "dimensions must reproduce the Betti numbers.",
-         (BOUND, Flag("n", required=True, ceiling=cohomology.FORMULA_DEGREE_LIMIT), DEGREE,
+         (Flag("n", required=True, ceiling=cohomology.FORMULA_DEGREE_LIMIT), DEGREE,
           Flag("route", "induction", type=str, choices=("induction", "poset"))), table=True,
          interval=lambda config: 2 * max(_row_range(config)) if config.route == "poset" else None)
 def cmd_rep_table(config) -> int:
@@ -186,9 +187,8 @@ def cmd_rep_table(config) -> int:
             rep = cohomology.rep_via_poset(n, i)
         betti = cohomology.betti(n, i)
         if rep.dimension() != betti:
-            sys.stderr.write(json.dumps(
-                {"discrepancy": "dimension mismatch", "n": n, "i": i}) + "\n")
-            return 1
+            raise ArithmeticError(f"rep-table at n = {n}, i = {i}: the representation has "
+                                  f"dimension {rep.dimension()}, not the Betti number {betti}")
         rows.append({"n": n, "i": i, "betti": betti, "rep": _rep_compact(rep)})
         json_rows.append({"n": n, "i": i, "betti": betti,
                           "multiplicities": _rep_to_multiplicities(rep)})
@@ -198,7 +198,7 @@ def cmd_rep_table(config) -> int:
 
 @Command("verify-cohomology", "Degreewise identity in n and t between the interval-homology "
          "series of the H^i and the series (sum h_n) * (1 + sum e_n t^(n/2))^-1.",
-         (BOUND, Flag("N", 8)), interval=lambda config: 2 * (config.N // 2))
+         (Flag("N", 8),), interval=lambda config: 2 * (config.N // 2))
 def cmd_verify_cohomology(config) -> int:
     lhs = cohomology.cohomology_series_poset(config.N)
     rhs = cohomology.cohomology_series_formula(config.N)
@@ -213,7 +213,7 @@ def cmd_verify_cohomology(config) -> int:
 
 @Command("verify-poset-series", "Degreewise identity between alternating top interval "
          "homology of the even-subset lattice and the inverse of 1 + sum of even h_n.",
-         (BOUND, Flag("N", 8)), interval=lambda config: 2 * (config.N // 2))
+         (Flag("N", 8),), interval=lambda config: 2 * (config.N // 2))
 def cmd_verify_poset_series(config) -> int:
     lhs, rhs = cohomology.poset_series_sides(config.N)
     for n in lhs:  # both sides hold every even degree up to N, in order
@@ -226,7 +226,7 @@ def cmd_verify_poset_series(config) -> int:
 
 @Command("poset-homology", "Homology ranks of the interval below [n] in the even-subset "
          "lattice, with the symmetric-group character on the top degree.",
-         (BOUND, Flag("n", required=True)), interval=lambda config: config.n)
+         (Flag("n", required=True),), interval=lambda config: config.n)
 def cmd_poset_homology(config) -> int:
     n = config.n
     ranks = poset_homology.homology_ranks(n)
@@ -238,7 +238,7 @@ def cmd_poset_homology(config) -> int:
             ",".join(map(str, mu)): char(mu)
             for mu in partitions_of(n)
         },
-        "concentrated": poset_homology.cm_concentration_check(n),
+        "concentrated": set(ranks) == {n // 2},
     }
     _emit(payload, None, config)
     return 0
@@ -345,7 +345,7 @@ def cmd_branching_check(config) -> int:
 
 @Command("whitney", "Whitney homology of the even-subset lattice: induced top interval "
          "homologies, whose alternating sum vanishes for even n >= 2.",
-         (BOUND, Flag("n", required=True)), table=True,
+         (Flag("n", required=True),), table=True,
          interval=lambda config: 2 * (config.n // 2))
 def cmd_whitney(config) -> int:
     n = config.n

@@ -226,11 +226,6 @@ def homology_ranks(interval_size: int) -> dict[int, int]:
             gc.enable()
 
 
-def cm_concentration_check(n: int) -> bool:
-    """True iff the homology below [n] lives only in degree n/2."""
-    return set(homology_ranks(n)) == {n // 2}
-
-
 def _hopf_trace(n: int) -> ClassFunction:
     """The Hopf trace below [n], n even and positive, by orbit class (see the
     module docstring), not yet compared with the ranks.

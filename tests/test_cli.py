@@ -47,20 +47,20 @@ def test_single_row_selection(capsys):
 
 
 def test_poset_row_needs_only_its_interval(capsys):
-    """Row 1 at n = 12 needs interval size 2, inside the default bound 8,
-    although rows 5 and 6 of the same n would need 10 and 12."""
+    """Row 1 at n = 12 needs interval size 2, inside the ceiling 10,
+    although row 6 of the same n would need 12."""
     code, out, err = run_cli(capsys, "rep-table", "--n", "12", "--route", "poset", "--i", "1")
     assert code == 0 and err == ""
     [row] = json.loads(out)["rows"]
     assert (row["i"], row["betti"]) == (1, 66)
-    code, out, err = run_cli(capsys, "rep-table", "--n", "12", "--route", "poset", "--i", "5")
-    assert code == 2 and out == "" and "bound" in json.loads(err)["error"]
+    code, out, err = run_cli(capsys, "rep-table", "--n", "12", "--route", "poset", "--i", "6")
+    assert code == 2 and out == "" and "bound 10" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("argv", [
     ["verify-poset-series", "--N", "9"],
-    ["verify-cohomology", "--N", "11", "--bound", "10"],
-    ["verify-cohomology", "--N", "1", "--bound", "0"],
+    ["verify-cohomology", "--N", "11"],
+    ["verify-cohomology", "--N", "1"],
 ])
 def test_odd_N_needs_the_even_interval_below_it(capsys, argv):
     """The verify commands build intervals of even size only, so an odd N
@@ -70,15 +70,15 @@ def test_odd_N_needs_the_even_interval_below_it(capsys, argv):
 
 
 def test_odd_N_names_the_even_interval_it_needs(capsys):
-    code, out, err = run_cli(capsys, "verify-poset-series", "--N", "9", "--bound", "6")
+    code, out, err = run_cli(capsys, "verify-poset-series", "--N", "13")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == (
-        "verify-poset-series needs interval size 8, beyond the brute-force bound 6")
+        "verify-poset-series needs interval size 12, beyond the brute-force bound 10")
 
 
-@pytest.mark.parametrize("argv", [("--n", "9"), ("--n", "9", "--bound", "10"), ("--n", "7"),
-                                  ("--n", "11", "--bound", "10")])
+@pytest.mark.parametrize("argv", [("--n", "9"), ("--n", "11"), ("--n", "7"), ("--n", "13")])
 def test_odd_poset_homology_n_is_refused_for_its_parity(capsys, argv):
+    """An odd --n is refused for its parity, also above the ceiling."""
     code, out, err = run_cli(capsys, "poset-homology", *argv)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "interval size must be even and nonnegative"}
@@ -143,12 +143,45 @@ def test_describe(capsys):
 def test_out_of_bounds(capsys):
     code, _, err = run_cli(capsys, "betti-table", "--n", "20")
     assert code == 2 and "limited" in err
-    code, _, err = run_cli(capsys, "poset-homology", "--n", "12")
-    assert code == 2
-    code, _, err = run_cli(capsys, "verify-cohomology", "--N", "10")
-    assert code == 2
-    code, out, err = run_cli(capsys, "whitney", "--n", "10")
-    assert code == 2 and out == "" and "bound" in json.loads(err)["error"]
+    code, out, err = run_cli(capsys, "whitney", "--n", "13")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == (
+        "whitney needs interval size 12, beyond the brute-force bound 10")
+
+
+@pytest.mark.parametrize("argv", [
+    "poset-homology --n 12",
+    "whitney --n 12",
+    "verify-cohomology --N 12",
+    "verify-poset-series --N 13",
+    "rep-table --n 12 --route poset",
+])
+def test_interval_above_the_ceiling_is_refused_before_any_chain(monkeypatch, capsys, argv):
+    """The five poset commands hold their interval to the library's ceiling,
+    MAX_BRUTE_FORCE_BOUND = 10, and refuse a larger one before a chain is
+    built: were the complex built, the patched builder would make it exit 1."""
+    def no_chain(top_size):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(poset_homology, "build_interval_complex", no_chain)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].endswith("beyond the brute-force bound 10")
+
+
+# The interval-size flag these commands took before the ceiling became the
+# library's constant; it is now an unrecognized argument.
+REMOVED_FLAG = "bound"
+
+
+@pytest.mark.parametrize("command", sorted(name for name, spec in cli.COMMANDS.items()
+                                           if spec.interval))
+def test_removed_interval_flag_is_refused(capsys, command):
+    code, out, err = run_cli(capsys, command, f"--{REMOVED_FLAG}", "10")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -158,8 +191,8 @@ def test_out_of_bounds(capsys):
     ["betti-table", "--n", "-2", "--format", "csv"],
     ["euler-check", "--N", "0", "--format", "csv"],
     ["model-check", "--n", "4", "--trials", "-5"],
-    ["poset-homology", "--n", "4", "--bound", "12"],
-    ["betti-table", "--n", "4", "--bound", "-2"],
+    ["poset-homology", "--n", "-2"],
+    ["verify-poset-series", "--N", "-1"],
     ["model-check", "--n", "3", "--trials", "0"],
 ])
 def test_out_of_domain_integers(capsys, argv):
@@ -205,9 +238,10 @@ def test_ceilings(capsys, command, flag):
 
 def test_every_integer_flag_is_bounded(capsys):
     """Walk the registrations: every integer flag has a ceiling, fixed or
-    read from another flag (--i by --n), or is bounded through the interval
-    size by --bound. Only --seed is unbounded. At 10**7 each bounded flag is
-    refused at once, with the other required flags at 4."""
+    read from another flag (--i by --n), or is bounded through the command's
+    interval size by MAX_BRUTE_FORCE_BOUND. Only --seed is unbounded. At
+    10**7 each bounded flag is refused at once, with the other required
+    flags at 4."""
     unbounded = []
     for name, spec in cli.COMMANDS.items():
         for flag in spec.flags:
@@ -225,22 +259,21 @@ def test_every_integer_flag_is_bounded(capsys):
             error = json.loads(err)["error"]
             assert "limited to" in error or "bound" in error, (name, flag.name, error)
     assert unbounded == [("model-check", "seed")]
-    with_bound = {name for name, spec in cli.COMMANDS.items() if cli.BOUND in spec.flags}
     with_interval = {name for name, spec in cli.COMMANDS.items() if spec.interval}
-    assert with_bound == with_interval == {"rep-table", "verify-cohomology",
-                                           "verify-poset-series", "poset-homology", "whitney"}
+    assert with_interval == {"rep-table", "verify-cohomology", "verify-poset-series",
+                             "poset-homology", "whitney"}
 
 
 def test_poset_route_refused_before_any_row(monkeypatch, capsys):
     """rep-table --n 12 --route poset needs interval size 12, beyond the
-    default bound 8; it is refused before a single row is computed."""
+    ceiling 10; it is refused before a single row is computed."""
     def no_work(n, i):
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(cohomology, "rep_via_poset", no_work)
     code, out, err = run_cli(capsys, "rep-table", "--n", "12", "--route", "poset")
     assert code == 2 and out == ""
-    assert "bound" in json.loads(err)["error"]
+    assert "bound 10" in json.loads(err)["error"]
 
 
 README_POINT = {"n": 3, "components": [
@@ -615,8 +648,11 @@ def test_first_failing_cell_reported(monkeypatch, capsys, patch, argv, failing):
     assert code == 1
     assert "Traceback" not in out + err
     report = json.loads(out or err)
-    named = report.get("first_failing", {k: report.get(k) for k in failing})
-    assert named == failing
+    if "discrepancy" in report:  # a failed check raised: its message names the cell
+        assert out == ""
+        assert all(f"{k} = {v}" in report["discrepancy"] for k, v in failing.items())
+    else:
+        assert report["first_failing"] == failing
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
@@ -624,4 +660,5 @@ def test_rep_table_mismatch_is_a_discrepancy(monkeypatch, capsys, fmt):
     monkeypatch.setattr(*_wrong_at(cohomology, "betti", (6, 2), lambda v: v + 1))
     code, out, err = run_cli(capsys, "rep-table", "--n", "6", "--format", fmt)
     assert code == 1 and out == ""
-    assert json.loads(err) == {"discrepancy": "dimension mismatch", "n": 6, "i": 2}
+    assert json.loads(err) == {"discrepancy": "rep-table at n = 6, i = 2: the representation "
+                               "has dimension 75, not the Betti number 76"}

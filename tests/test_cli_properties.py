@@ -14,8 +14,7 @@ from coxtoric import cli
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-FLAGS = ("--n", "--N", "--i", "--bound", "--seed", "--trials", "--format",
-         "--route", "--bogus")
+FLAGS = ("--n", "--N", "--i", "--seed", "--trials", "--format", "--route", "--bogus")
 SWITCHES = ("--describe", "--help")
 VALUES = st.one_of(
     st.integers(-2, 4).map(str),

@@ -89,7 +89,7 @@ PINNED_OUTPUTS = {
         "ce28cab1967cb8151cdcb0f2b772e8b144439a9ce739ea5de8c84076a7cd4f5a",
     "branching-check --n 5":
         "7303a336c4c3b092991401eb950e6722aca6cc59b31c05c4eda88afd7abaa678",
-    "poset-homology --n 10 --bound 10":
+    "poset-homology --n 10":
         "ebab84e4d053ad92c69e6b4cda26de295ba1999859f3d4e607d0b2f06b000630",
 }
 

@@ -18,7 +18,6 @@ from coxtoric.poset_homology import (
     IntervalComplex,
     build_interval_complex,
     check_morse_certificate,
-    cm_concentration_check,
     equivariant_top_character,
     homology_ranks,
     morse_certificate,
@@ -232,8 +231,11 @@ def test_euler_characteristic_matches_homology():
 
 
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
-def test_concentration(n):
-    assert cm_concentration_check(n)
+def test_concentration(n, capsys):
+    """poset-homology reads its "concentrated" field off the ranks it prints."""
+    assert cli.main(["poset-homology", "--n", str(n)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["ranks"]) == [str(n // 2)] and payload["concentrated"] is True
 
 
 def test_top_character_small():

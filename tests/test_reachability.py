@@ -94,11 +94,11 @@ PER_COMMAND = {
 }
 README_LINES = [line.split("  #")[0].split()[1:] for line in README.read_text().splitlines()
                 if line.startswith("coxtoric ")]
-# The five README poset commands at the default interval bound of 8.
+# The five README poset commands at interval size 8.
 POSET_ROUTE = ("verify-cohomology --N 8", "verify-poset-series --N 8", "poset-homology --n 8",
                "whitney --n 8", "rep-table --n 8 --route poset")
-# The series identity at the largest bound runs after the trace is removed.
-UNTRACED = ("verify-poset-series --N 10 --bound 10",)
+# The series identity at the brute-force ceiling runs after the trace is removed.
+UNTRACED = ("verify-poset-series --N 10",)
 # cli.run, the installed script's entry point, reads sys.argv.
 RUN_ARGV = ["betti-table", "--n", "2"]
 
@@ -124,7 +124,7 @@ RUNS = (
         ("betti-table --n 20", None),                          # above a fixed ceiling
         ("betti-table --n 6 --i 5", None),                     # above a ceiling read from --n
         ("model-check --n 3 --trials 0", None),                # below a floor
-        ("whitney --n 10", None),                              # interval beyond --bound
+        ("whitney --n 12", None),                              # interval beyond the ceiling
         ("model-check", None),                                 # neither --point nor --n
         ("model-check --point point.json --n 3", None),        # both
         ("model-check --point missing.json", None),            # no such file
