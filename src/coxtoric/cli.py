@@ -9,9 +9,13 @@ unopenable --out raise it. Any other exception from a handler is a fault of
 the program, and exits 1 with one JSON object on stderr: {"discrepancy": ...}
 for a failed cross-check (a plain ArithmeticError), {"fault": ...}, naming
 the exception's type, for anything else, ZeroDivisionError and the other
-ArithmeticError subclasses included. Handlers write nothing to stderr: they
-raise, and main writes the one report. Identical invocations produce
+ArithmeticError subclasses included. Identical invocations produce
 byte-identical output; orderings are fixed everywhere.
+
+A handler maps the parsed flags to (payload, status), the JSON report and
+its exit status, 0 or 1, or raises. Handlers write nothing: main writes
+stdout, by its one _emit call, stderr and the exit status, so a handler that
+raises after partial work leaves stdout empty.
 
 Each command is declared once, by a Command on its handler: its description,
 whether it offers csv, every flag with its default, floor and ceiling, and the
@@ -98,12 +102,23 @@ def _rep_to_multiplicities(vec: SchurVector) -> list[dict]:
     ]
 
 
-def _rep_compact(vec: SchurVector) -> str:
-    return ";".join(f"{_partition_str(lam)}:{c}" for lam, c in vec.items()) or "0"
+def _cells(row: dict) -> dict:
+    """A JSON row as csv/plain cells: its multiplicities list becomes the rep
+    cell, [3,1]:1;[2,2]:1, or 0 for the zero module."""
+    cells = dict(row)
+    if "multiplicities" in cells:  # last in its row, so rep takes its place
+        cells["rep"] = ";".join(f"{_partition_str(m['partition'])}:{m['multiplicity']}"
+                                for m in cells.pop("multiplicities")) or "0"
+    return cells
 
 
-def _emit(payload: dict, rows: list[dict] | None, config) -> None:
+def _emit(payload: dict, config) -> None:
+    """Write the payload, with the command's name first, to --out or stdout.
+    json prints it whole. csv and plain print payload["rows"] by one rule,
+    each row read off its JSON row by _cells; plain prints a payload without
+    rows as one JSON line."""
     payload = {"command": config.command, **payload}
+    rows = [_cells(row) for row in payload.get("rows", ())]
     if config.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif config.format == "csv":
@@ -112,14 +127,10 @@ def _emit(payload: dict, rows: list[dict] | None, config) -> None:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
+    elif "rows" in payload:
+        text = "\n".join(" ".join(str(v) for v in row.values()) for row in rows) + "\n"
     else:
-        lines = []
-        if rows is not None:
-            for row in rows:
-                lines.append(" ".join(str(v) for v in row.values()))
-        else:
-            lines.append(json.dumps(payload))
-        text = "\n".join(lines) + "\n"
+        text = json.dumps(payload) + "\n"
     if config.out:
         try:
             fh = open(config.out, "w")
@@ -162,13 +173,12 @@ def _row_range(config) -> list[int]:
 
 @Command("betti-table", "Betti numbers dim H^i = A_{2i} * C(n, 2i) with exact secant numbers A.",
          (Flag("n", required=True, ceiling=cohomology.FORMULA_DEGREE_LIMIT), DEGREE), table=True)
-def cmd_betti_table(config) -> int:
+def cmd_betti_table(config) -> tuple[dict, int]:
     rows = [
         {"n": config.n, "i": i, "betti": cohomology.betti(config.n, i)}
         for i in _row_range(config)
     ]
-    _emit({"rows": rows}, rows, config)
-    return 0
+    return {"rows": rows}, 0
 
 
 @Command("rep-table", "Irreducible multiplicities of H^i from the signed induction formula; "
@@ -176,10 +186,9 @@ def cmd_betti_table(config) -> int:
          (Flag("n", required=True, ceiling=cohomology.FORMULA_DEGREE_LIMIT), DEGREE,
           Flag("route", "induction", type=str, choices=("induction", "poset"))), table=True,
          interval=lambda config: 2 * max(_row_range(config)) if config.route == "poset" else None)
-def cmd_rep_table(config) -> int:
+def cmd_rep_table(config) -> tuple[dict, int]:
     n = config.n
     rows = []
-    json_rows = []
     for i in _row_range(config):
         if config.route == "induction":
             rep = cohomology.rep_via_induction(n, i)
@@ -189,49 +198,43 @@ def cmd_rep_table(config) -> int:
         if rep.dimension() != betti:
             raise ArithmeticError(f"rep-table at n = {n}, i = {i}: the representation has "
                                   f"dimension {rep.dimension()}, not the Betti number {betti}")
-        rows.append({"n": n, "i": i, "betti": betti, "rep": _rep_compact(rep)})
-        json_rows.append({"n": n, "i": i, "betti": betti,
-                          "multiplicities": _rep_to_multiplicities(rep)})
-    _emit({"route": config.route, "rows": json_rows}, rows, config)
-    return 0
+        rows.append({"n": n, "i": i, "betti": betti,
+                     "multiplicities": _rep_to_multiplicities(rep)})
+    return {"route": config.route, "rows": rows}, 0
 
 
 @Command("verify-cohomology", "Degreewise identity in n and t between the interval-homology "
          "series of the H^i and the series (sum h_n) * (1 + sum e_n t^(n/2))^-1.",
          (Flag("N", 8),), interval=lambda config: 2 * (config.N // 2))
-def cmd_verify_cohomology(config) -> int:
+def cmd_verify_cohomology(config) -> tuple[dict, int]:
     lhs = cohomology.cohomology_series_poset(config.N)
     rhs = cohomology.cohomology_series_formula(config.N)
     cells = sorted(set(lhs.terms) | set(rhs.terms))
     for (n, tpow) in cells:
         if lhs.term(n, tpow) != rhs.term(n, tpow):
-            _emit({"verified": False, "first_failing": {"n": n, "t_power": tpow}}, None, config)
-            return 1
-    _emit({"verified": True, "N": config.N}, None, config)
-    return 0
+            return {"verified": False, "first_failing": {"n": n, "t_power": tpow}}, 1
+    return {"verified": True, "N": config.N}, 0
 
 
 @Command("verify-poset-series", "Degreewise identity between alternating top interval "
          "homology of the even-subset lattice and the inverse of 1 + sum of even h_n.",
          (Flag("N", 8),), interval=lambda config: 2 * (config.N // 2))
-def cmd_verify_poset_series(config) -> int:
+def cmd_verify_poset_series(config) -> tuple[dict, int]:
     lhs, rhs = cohomology.poset_series_sides(config.N)
     for n in lhs:  # both sides hold every even degree up to N, in order
         if lhs[n] != rhs[n]:
-            _emit({"verified": False, "first_failing": {"n": n}}, None, config)
-            return 1
-    _emit({"verified": True, "N": config.N}, None, config)
-    return 0
+            return {"verified": False, "first_failing": {"n": n}}, 1
+    return {"verified": True, "N": config.N}, 0
 
 
 @Command("poset-homology", "Homology ranks of the interval below [n] in the even-subset "
          "lattice, with the symmetric-group character on the top degree.",
          (Flag("n", required=True),), interval=lambda config: config.n)
-def cmd_poset_homology(config) -> int:
+def cmd_poset_homology(config) -> tuple[dict, int]:
     n = config.n
     ranks = poset_homology.homology_ranks(n)
     char = poset_homology.equivariant_top_character(n)
-    payload = {
+    return {
         "n": n,
         "ranks": {str(m): ranks[m] for m in sorted(ranks)},
         "character": {
@@ -239,15 +242,13 @@ def cmd_poset_homology(config) -> int:
             for mu in partitions_of(n)
         },
         "concentrated": set(ranks) == {n // 2},
-    }
-    _emit(payload, None, config)
-    return 0
+    }, 0
 
 
 @Command("euler-check", "Cell-count Euler characteristic sum over orbit chains of (-2)^(n-m) "
          "against the alternating sum of Betti numbers.",
          (Flag("N", 10, floor=1, ceiling=300),), table=True)
-def cmd_euler_check(config) -> int:
+def cmd_euler_check(config) -> tuple[dict, int]:
     rows = []
     first_bad = None
     for n in range(1, config.N + 1):
@@ -260,8 +261,7 @@ def cmd_euler_check(config) -> int:
     payload = {"verified": first_bad is None, "rows": rows}
     if first_bad is not None:
         payload["first_failing"] = {"n": first_bad}
-    _emit(payload, rows, config)
-    return 0 if first_bad is None else 1
+    return payload, 0 if first_bad is None else 1
 
 
 @Command("model-check", "Membership, orbit chain and degeneration family for a point of the "
@@ -269,7 +269,7 @@ def cmd_euler_check(config) -> int:
          (Flag("n", floor=1, ceiling=MODEL_CHECK_MAX_N),
           Flag("point", type=str, help="path to a point JSON file, or - for stdin"),
           Flag("seed", floor=None), Flag("trials", floor=1, ceiling=1000)))
-def cmd_model_check(config) -> int:
+def cmd_model_check(config) -> tuple[dict, int]:
     if config.point is not None:
         given = [name for name in ("n", "trials", "seed") if getattr(config, name) is not None]
         if given:
@@ -289,81 +289,70 @@ def cmd_model_check(config) -> int:
             payload["orbit"] = witness["chain"]
             payload["degeneration_ok"] = witness["ok"]
             payload["degeneration"] = witness
-            _emit(payload, None, config)
-            return 0 if witness["ok"] else 1
+            return payload, 0 if witness["ok"] else 1
         payload["first_violation"] = wonderful_model.first_violation(point)
-        _emit(payload, None, config)
-        return 1
+        return payload, 1
     if config.n is None:
         raise UsageError("model-check needs --point or --n")
     # --trials defaults to 50 and --seed to 0; unset, they read None, so that
     # a point file given with either is refused above.
     report = wonderful_model.equivariance_report(
         config.n, 50 if config.trials is None else config.trials, config.seed or 0)
-    _emit(report, None, config)
-    return 0 if report["ok"] else 1
+    return report, 0 if report["ok"] else 1
 
 
 @Command("cup-dim", "Dimension 3 * C(n, 4) of the span of products of degree-one classes, "
          "strictly below dim H^2 = 5 * C(n, 4).",
          (Flag("n", required=True, floor=2, ceiling=40),))
-def cmd_cup_dim(config) -> int:
+def cmd_cup_dim(config) -> tuple[dict, int]:
     dim = cup_product.cup_span_dimension(config.n)
-    payload = {
+    betti_2 = cohomology.betti(config.n, 2)
+    return {
         "n": config.n, "dimension": dim,
-        "betti_2": cohomology.betti(config.n, 2),
-        "spans_h2": dim == cohomology.betti(config.n, 2),
-    }
-    _emit(payload, None, config)
-    return 0
+        "betti_2": betti_2,
+        "spans_h2": dim == betti_2,
+    }, 0
 
 
 @Command("cup-rep", "The cup-product span as a representation: the 4-subset pairing module "
          "induced up, cross-checked by a signed-permutation character.",
          (Flag("n", required=True, floor=4, ceiling=10000),))
-def cmd_cup_rep(config) -> int:
+def cmd_cup_rep(config) -> tuple[dict, int]:
     checked = config.n <= CUP_REP_CROSS_CHECK_LIMIT
     rep = cup_product.cup_span_representation(config.n, cross_check=checked)
-    payload = {
+    return {
         "n": config.n,
         "multiplicities": _rep_to_multiplicities(rep),
         "dimension": rep.dimension(),
         "character_cross_checked": checked,
-    }
-    _emit(payload, None, config)
-    return 0
+    }, 0
 
 
 @Command("branching-check", "Complete search for a module one rank up restricting to the "
          "cup-product span; infeasibility certifies non-extendability.",
          (Flag("n", required=True, floor=4, ceiling=29),))
-def cmd_branching_check(config) -> int:
+def cmd_branching_check(config) -> tuple[dict, int]:
     cert = cup_product.branching_infeasibility(config.n)
-    _emit({"n": config.n, "status": cert["status"], "witness": cert["witness"]}, None, config)
-    return 0
+    return {"n": config.n, "status": cert["status"], "witness": cert["witness"]}, 0
 
 
 @Command("whitney", "Whitney homology of the even-subset lattice: induced top interval "
          "homologies, whose alternating sum vanishes for even n >= 2.",
          (Flag("n", required=True),), table=True,
          interval=lambda config: 2 * (config.n // 2))
-def cmd_whitney(config) -> int:
+def cmd_whitney(config) -> tuple[dict, int]:
     n = config.n
     rows = []
-    json_rows = []
     total = SchurVector.zero(n)
     for i in range(n // 2 + 1):
         vec = poset_homology.whitney_homology(n, i)
         total = total - vec if i % 2 else total + vec
         rows.append({"n": n, "i": i, "dimension": vec.dimension(),
-                     "rep": _rep_compact(vec)})
-        json_rows.append({"n": n, "i": i, "dimension": vec.dimension(),
-                          "multiplicities": _rep_to_multiplicities(vec)})
+                     "multiplicities": _rep_to_multiplicities(vec)})
     claimed = n >= 2 and n % 2 == 0  # the sum vanishes only for even n >= 2
-    payload = {"n": n, "rows": json_rows,
+    payload = {"n": n, "rows": rows,
                "alternating_sum_zero": total.is_zero() if claimed else None}
-    _emit(payload, rows, config)
-    return 1 if claimed and not total.is_zero() else 0
+    return payload, 1 if claimed and not total.is_zero() else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -400,7 +389,9 @@ def main(argv=None) -> int:
             sys.stdout.write(COMMANDS[config.command].description + "\n")
             return 0
         _check(config)
-        return HANDLERS[config.command](config)
+        payload, status = HANDLERS[config.command](config)
+        _emit(payload, config)
+        return status
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     except UsageError as exc:

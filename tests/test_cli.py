@@ -18,6 +18,7 @@ from coxtoric.wonderful_model import (
 )
 
 from oracles import trivial_character
+from test_reachability import PER_COMMAND
 
 
 def run_cli(capsys, *args):
@@ -668,3 +669,43 @@ def test_rep_table_mismatch_is_a_discrepancy(monkeypatch, capsys, fmt):
     assert code == 1 and out == ""
     assert json.loads(err) == {"discrepancy": "rep-table at n = 6, i = 2: the representation "
                                "has dimension 75, not the Betti number 76"}
+
+
+def test_whitney_nonvanishing_sum_exits_one(monkeypatch, capsys):
+    """A Whitney degree off by one module leaves the alternating sum nonzero:
+    exit 1, reported on stdout as a failed claim, not as a fault."""
+    monkeypatch.setattr(*_wrong_at(poset_homology, "whitney_homology", (6, 1),
+                                   lambda v: v + SchurVector(6, {(6,): 1})))
+    code, out, err = run_cli(capsys, "whitney", "--n", "6")
+    assert code == 1 and err == ""
+    assert '"alternating_sum_zero": false' in out
+
+
+def test_failed_degeneration_exits_one(monkeypatch, tmp_path, capsys):
+    degeneration = wonderful_model.degeneration_witness
+    monkeypatch.setattr(wonderful_model, "degeneration_witness",
+                        lambda p: {**degeneration(p), "ok": False})
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(README_POINT))
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path))
+    assert code == 1 and err == ""
+    assert '"degeneration_ok": false' in out
+
+
+@pytest.mark.parametrize("name", PER_COMMAND)
+def test_handlers_return_their_report(capsys, name):
+    """A handler returns (payload, status) and writes nothing: main prints."""
+    config = cli.build_parser().parse_args([name, *PER_COMMAND[name].split()])
+    payload, status = cli.HANDLERS[name](config)
+    assert type(payload) is dict and status in (0, 1)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("command", ["rep-table", "whitney"])
+def test_out_file_gets_stdout_bytes(tmp_path, capsys, command, fmt):
+    argv = [command, "--n", "6", "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "table.out"
+    assert run_cli(capsys, *argv, "--out", str(target))[:2] == (code, "")
+    assert target.read_bytes() == out.encode()

@@ -74,8 +74,9 @@ def test_series_formula_matches_series_product():
         assert cohomology_series_formula(N) == h_series * e_series.invert()
 
 
-# sha256 of the JSON stdout of commands that pass through decompose,
-# characters and multiplicity output.
+# sha256 of the stdout of commands that pass through decompose, characters
+# and multiplicity output: JSON, and csv and plain, whose rep cells are read
+# off the JSON multiplicities.
 PINNED_OUTPUTS = {
     "rep-table --n 12":
         "b5492d3a1ea901dbf644669bba9fb1ed4215fc9649a9ea5a2c6b57c87a46f48e",
@@ -91,6 +92,18 @@ PINNED_OUTPUTS = {
         "7303a336c4c3b092991401eb950e6722aca6cc59b31c05c4eda88afd7abaa678",
     "poset-homology --n 10":
         "ebab84e4d053ad92c69e6b4cda26de295ba1999859f3d4e607d0b2f06b000630",
+    "rep-table --n 8 --format csv":
+        "9e14b7261765841a6c35a460b4595f95f528780c0c7255ef8b83b36a655b7b8b",
+    "rep-table --n 8 --route poset --format plain":
+        "472ac9e76d6445151ceda54a8c1f5d6f6319f549fbd4d27caf7e946f51bafa1d",
+    "whitney --n 8 --format csv":
+        "e827d2ca9358c7cb5574766e312b16112b57c32f411d62f92ea25dbbc593acdf",
+    "whitney --n 7 --format plain":
+        "281c987487fcc52503efd0911e88fe4a46f900d8cc9eb333e3972d9a9914c699",
+    "euler-check --N 12 --format csv":
+        "bdbcd7dc2b0fad4aa4c8d536bd40165549ef412a66e768372d3fe294e86fe2e0",
+    "betti-table --n 12 --format plain":
+        "91539f67a54edf6d0574805dd228eb002bf2b5cc6c4ed5097994adab5e109419",
 }
 
 
