@@ -40,8 +40,6 @@ from .combinatorics import partitions_of
 from .poset_homology import MAX_BRUTE_FORCE_BOUND
 from .rep_ring import SchurVector
 
-# Ceiling of model-check --n, which also bounds a point file's n.
-MODEL_CHECK_MAX_N = 7
 # cup-rep cross-checks the Pieri route by the signed trace up to this n.
 CUP_REP_CROSS_CHECK_LIMIT = 20
 
@@ -96,10 +94,14 @@ def _partition_str(lam) -> str:
 
 
 def _rep_to_multiplicities(vec: SchurVector) -> list[dict]:
-    return [
-        {"partition": list(lam), "multiplicity": int(c) if c.denominator == 1 else str(c)}
-        for lam, c in vec.items()
-    ]
+    """The multiplicities of a module cli prints, H^i, Whitney homology or the
+    cup span, each a genuine representation: a multiplicity that is negative
+    or not whole is a failed check."""
+    for lam, c in vec.items():
+        if c < 0 or c.denominator != 1:
+            raise ArithmeticError(f"the multiplicity {c} of {_partition_str(lam)} is negative "
+                                  "or not whole, so the module is not a representation")
+    return [{"partition": list(lam), "multiplicity": int(c)} for lam, c in vec.items()]
 
 
 def _cells(row: dict) -> dict:
@@ -266,7 +268,7 @@ def cmd_euler_check(config) -> tuple[dict, int]:
 
 @Command("model-check", "Membership, orbit chain and degeneration family for a point of the "
          "compactified torus; without a point, randomized action equivariance.",
-         (Flag("n", floor=1, ceiling=MODEL_CHECK_MAX_N),
+         (Flag("n", floor=1, ceiling=wonderful_model.MAX_POINT_N),
           Flag("point", type=str, help="path to a point JSON file, or - for stdin"),
           Flag("seed", floor=None), Flag("trials", floor=1, ceiling=1000)))
 def cmd_model_check(config) -> tuple[dict, int]:
@@ -277,7 +279,7 @@ def cmd_model_check(config) -> tuple[dict, int]:
         try:
             with nullcontext(sys.stdin) if config.point == "-" else open(config.point) as fh:
                 data = json.load(fh)
-            point = wonderful_model.ModelPoint.from_json(data, max_n=MODEL_CHECK_MAX_N)
+            point = wonderful_model.ModelPoint.from_json(data)
         except RecursionError:  # JSON nested past the interpreter's limit
             raise UsageError("the point file is nested too deeply") from None
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
@@ -290,7 +292,11 @@ def cmd_model_check(config) -> tuple[dict, int]:
             payload["degeneration_ok"] = witness["ok"]
             payload["degeneration"] = witness
             return payload, 0 if witness["ok"] else 1
-        payload["first_violation"] = wonderful_model.first_violation(point)
+        violation = wonderful_model.first_violation(point)
+        if violation is None:
+            raise ArithmeticError("the stage scan puts the point off the model, "
+                                  "but every nested pair passes the rank-one test")
+        payload["first_violation"] = violation
         return payload, 1
     if config.n is None:
         raise UsageError("model-check needs --point or --n")

@@ -11,7 +11,8 @@ sign, and `cup_reduce` is the one place that orders two pairs.
 The cup span is evaluated once, by Pieri induction, and checked by one
 independent route: the signed trace of each permutation w on the pairing
 basis. The routes are compared as characters; characters determine
-decompositions, so this is as strong as comparing decompositions.
+decompositions, so this is as strong as comparing decompositions. At every
+n, traced or not, the Pieri route's dimension must be 3 * C(n, 4).
 
 The trace is summed by kind of stable 4-set. A pairing fixed by w lies on a
 4-set that w maps to itself, a union of cycles of w. Its kind is the cycle
@@ -134,12 +135,17 @@ def cup_span_representation(n: int, cross_check: bool = True) -> SchurVector:
     """The cup span as a representation: the pairing module of a 4-subset
     induced up with a trivial factor, evaluated by Pieri.
 
-    With cross_check, the signed-permutation character of the action on the
-    pairing basis must equal the character of the Pieri route.
+    At every n its dimension must be 3 * C(n, 4), the size of the pairing
+    basis, which no strip rule decides. With cross_check, the
+    signed-permutation character of the action on the pairing basis must
+    equal the character of the Pieri route.
     """
     if n < 4:
         raise ValueError("n must be at least 4")
     pieri_route = pieri_h(SchurVector(4, {(2, 1, 1): 1}), n - 4)
+    if pieri_route.dimension() != 3 * comb(n, 4):
+        raise ArithmeticError(f"Pieri route {pieri_route!r} at n={n} has dimension "
+                              f"{pieri_route.dimension()}, not 3 * C({n}, 4) = {3 * comb(n, 4)}")
     if cross_check:
         char = _signed_permutation_character(n)
         if char != to_class_function(pieri_route):

@@ -29,7 +29,10 @@ reads each component once, against its block, where the nested pairs number
 O(3^n). The scan compares inline: each component against its twin in
 _translate(chain, t) through _minors_vanish gives the same verdicts but took
 130-141 us per scan at n = 6 against 58-63 (best of 15 over 50 seeded points,
-2-vCPU VM). first_violation scans every nested pair in subset order.
+2-vCPU VM). first_violation, which model-check runs once on a point off the
+model, walks the nested pairs lazily in subset order, I first, then J,
+through _keys(n): it stops at the first failing pair and keeps no pair list
+between calls.
 
 Every other comparison is one rank-one test, _minors_vanish, which builds no
 Fraction: _products_equal decides a*b == c*d by integer cross-products, exact
@@ -45,6 +48,12 @@ Every scan and serialization walks the nonempty subsets of [n] in one order,
 by size and then lexicographically, built once per n by _keys.
 random_model_point draws an index into all_chains(n) and unranks it, so no
 chain is enumerated for a draw.
+
+A point of size n has 2^n - 1 components, so the reader bounds n itself:
+ModelPoint.from_json refuses an n above MAX_POINT_N = 7, for every caller,
+before any subset is built. The constructor, which takes no such limit,
+names a missing subset by walking the subsets by size up to the first one
+not given, so a large n with few components fails at once too.
 """
 
 from __future__ import annotations
@@ -56,6 +65,9 @@ from math import comb
 
 from .combinatorics import SubsetChain, ordered_bell, ordered_chains, validate_chain
 
+# Largest n ModelPoint.from_json reads: a point has 2^n - 1 components.
+MAX_POINT_N = 7
+
 
 @lru_cache(maxsize=None)
 def _keys(n: int) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
@@ -63,17 +75,6 @@ def _keys(n: int) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
     [n], by size and then lex."""
     ground = range(1, n + 1)
     return tuple((sub, frozenset(sub)) for size in ground for sub in combinations(ground, size))
-
-
-@lru_cache(maxsize=None)
-def _nested_pairs(n: int) -> tuple[tuple[frozenset, frozenset, tuple[int, ...]], ...]:
-    """(I, J, positions of I inside J) for every I < J with |I| >= 2, both in
-    subset order; a singleton I has no 2x2 minor to test."""
-    keys = _keys(n)
-    return tuple(
-        (small_key, big_key, tuple(big.index(i) for i in small))
-        for small, small_key in keys if len(small) > 1
-        for big, big_key in keys if len(big) > len(small) and small_key <= big_key)
 
 
 class ModelPoint:
@@ -112,8 +113,10 @@ class ModelPoint:
             comps[subset] = coords
         for i in range(1, n + 1):
             comps.setdefault(frozenset([i]), (1,))
-        if len(comps) < 2 ** n - 1:
-            missing = next(sub for sub, key in _keys(n) if key not in comps)
+        if len(comps) < 2 ** n - 1:  # the first missing subset, without listing them all
+            missing = next(sub for size in range(2, n + 1)
+                           for sub in combinations(range(1, n + 1), size)
+                           if frozenset(sub) not in comps)
             raise ValueError(f"missing component {list(missing)}")
         self.components = comps
 
@@ -140,19 +143,20 @@ class ModelPoint:
             for sub, key in _keys(self.n)]}
 
     @staticmethod
-    def from_json(data, max_n: int | None = None) -> "ModelPoint":
-        """Point from the README's JSON shape. Another shape or an n above max_n
-        raises ValueError before any subset is built. So does a subset listed
-        twice or not strictly increasing, rather than being dropped or read in
-        sorted order; ModelPoint rejects a zero denominator or an exponent."""
+    def from_json(data) -> "ModelPoint":
+        """Point from the README's JSON shape. Another shape or an n above
+        MAX_POINT_N raises ValueError before any subset is built. So does a
+        subset listed twice or not strictly increasing, rather than being
+        dropped or read in sorted order; ModelPoint rejects a zero denominator
+        or an exponent."""
         data = data if isinstance(data, dict) else {}
         n, entries = data.get("n"), data.get("components")
         if type(n) is not int or not isinstance(entries, list) or not all(
                 isinstance(e, dict) and _list_of(e.get("subset"), int)
                 and _list_of(e.get("coords"), (int, str)) for e in entries):
             raise ValueError('a point is {"n": int, "components": [{"subset", "coords"}, ...]}')
-        if max_n is not None and n > max_n:
-            raise ValueError(f"the point's n = {n} is limited to {max_n}")
+        if n > MAX_POINT_N:
+            raise ValueError(f"the point's n = {n} is limited to {MAX_POINT_N}")
         comps = {}
         for entry in entries:
             sub = entry["subset"]
@@ -197,13 +201,16 @@ def torus_embedding(coords) -> ModelPoint:
 
 def first_violation(p: ModelPoint):
     """First nested pair (I, J) whose components fail the rank-one condition,
-    or None when the point is on the model. Pairs are scanned in subset order,
-    I first, then J."""
+    or None when the point is on the model. Pairs are walked in subset order,
+    I first, then J, and the walk stops at the first failing pair; a singleton
+    I has no 2x2 minor to test."""
     comps = p.components
-    for small, big, inner in _nested_pairs(p.n):
-        v = comps[big]
-        if not _minors_vanish(comps[small], [v[k] for k in inner]):
-            return (sorted(small), sorted(big))
+    for small, small_key in _keys(p.n)[p.n:]:
+        for big, big_key in _keys(p.n):
+            if len(big) > len(small) and small_key <= big_key:
+                v = comps[big_key]
+                if not _minors_vanish(comps[small_key], [v[big.index(i)] for i in small]):
+                    return (list(small), list(big))
     return None
 
 

@@ -389,6 +389,21 @@ def test_model_check_point_off_model(tmp_path, capsys):
     assert payload["first_violation"] == [[1, 3], [1, 2, 3]]
 
 
+def test_model_check_verdict_and_report_agree(monkeypatch, tmp_path, capsys):
+    """A point the stage scan rejects must have a failing nested pair; if the
+    pair walk finds none, the two scans disagree, which is a discrepancy,
+    not an off-model report naming no pair."""
+    bent = {**README_POINT, "components": [
+        {**e, "coords": ["1", "1"]} if e["subset"] == [1, 3] else e
+        for e in README_POINT["components"]]}
+    path = tmp_path / "bent.json"
+    path.write_text(json.dumps(bent))
+    monkeypatch.setattr(wonderful_model, "first_violation", lambda p: None)
+    code, out, err = run_cli(capsys, "model-check", "--point", str(path))
+    assert code == 1 and out == ""
+    assert list(json.loads(err)) == ["discrepancy"]
+
+
 # Nesting that json.load cannot follow within the interpreter's recursion limit.
 NESTED = "[" * 100000 + "]" * 100000
 
@@ -600,6 +615,40 @@ def test_discrepancy_is_json(monkeypatch, capsys, target, replacement, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert list(json.loads(err)) == ["discrepancy"]
+
+
+def test_printed_modules_are_genuine(monkeypatch, capsys):
+    """whitney --n 5 with one Whitney row negated claims no vanishing sum,
+    so only the printed multiplicities can catch it."""
+    honest = poset_homology.whitney_homology
+
+    def negated(n, i):
+        vec = honest(n, i)
+        return SchurVector.zero(n) - vec if i == 1 else vec
+
+    monkeypatch.setattr(poset_homology, "whitney_homology", negated)
+    code, out, err = run_cli(capsys, "whitney", "--n", "5")
+    assert code == 1 and out == ""
+    assert "negative or not whole" in json.loads(err)["discrepancy"]
+
+
+@pytest.mark.parametrize("argv", [("cup-rep", "--n", "30"), ("cup-rep", "--n", "12"),
+                                  ("branching-check", "--n", "12")],
+                         ids=["cup-rep-30", "cup-rep-12", "branching-check-12"])
+def test_cup_span_dimension_checked_at_every_n(monkeypatch, capsys, argv):
+    """A Pieri route that drops one constituent misses 3 * C(n, 4), above
+    n = 20 too, where no trace cross-checks it."""
+    honest = cup_product.pieri_h
+
+    def dropping(vec, k):
+        full = honest(vec, k)
+        top = max(full.coeffs)
+        return SchurVector(full.n, {lam: c for lam, c in full.coeffs.items() if lam != top})
+
+    monkeypatch.setattr(cup_product, "pieri_h", dropping)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "not 3 * C(" in json.loads(err)["discrepancy"]
 
 
 def test_arithmetic_fault_is_not_a_discrepancy(monkeypatch, capsys):

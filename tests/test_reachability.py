@@ -46,7 +46,7 @@ ALLOWED = {
     "linalg._reduce_content": "a step of sparse_rank",
     "poset_homology.IntervalComplex.boundary_columns": SPANS,
     "rep_ring.schur_multiply": SPANS,
-    "rep_ring.h_expansion": SPANS + ", and schur_multiply calls it",
+    "rep_ring.h_expansion": "schur_multiply calls it",
     "rep_ring.pieri_e": SPANS + "; schur_multiply's column case calls it",
     "rep_ring.SchurVector.scale": "schur_multiply is its one caller",
     "rep_ring.RepSeries.__mul__": SPANS,

@@ -245,8 +245,9 @@ def test_comparisons_match_the_minors_oracle():
                     assert is_on_model(q) == expected
                     verdicts.add(expected)
                     pairs = [(u, p.components[s]) for s, u in q.components.items()]
-                    pairs += [(q.components[small], [q.components[big][j] for j in inner])
-                              for small, big, inner in wonderful_model._nested_pairs(n)]
+                    pairs += [(u, [q.components[big][sorted(big).index(i)] for i in sorted(small)])
+                              for small, u in q.components.items() if len(small) > 1
+                              for big in q.components if small < big]
                     for u, v in pairs:
                         expected = rank_at_most_one(u, v)
                         assert wonderful_model._minors_vanish(u, v) == expected
@@ -554,6 +555,38 @@ def test_each_distinct_string_parsed_once(monkeypatch):
     first, second = ({id(c) for coords in p.components.values() for c in coords} for p in points)
     assert len(first) == len(second) == len(set(strings)) and not first & second
     assert first_violation(points[0]) is None and points[0] == points[1]
+
+
+def test_large_n_refused_without_listing_subsets(monkeypatch):
+    """The constructor names the first missing subset, and from_json refuses
+    an n above MAX_POINT_N, without building the subsets of [n]."""
+    keys = wonderful_model._keys
+
+    def small_keys(n):
+        if n > 7:
+            raise AssertionError(f"_keys({n}) lists 2^{n} - 1 subsets")
+        return keys(n)
+
+    monkeypatch.setattr(wonderful_model, "_keys", small_keys)
+    with pytest.raises(ValueError, match=r"missing component \[1, 2\]"):
+        ModelPoint(30, {})
+    with pytest.raises(ValueError, match="limited to 7"):
+        ModelPoint.from_json({"n": 30, "components": []})
+    assert wonderful_model.MAX_POINT_N == 7
+
+
+def test_first_violation_stops_at_the_first_failing_pair(monkeypatch):
+    """Bent at [1, 2], a point at n = 7 fails on its first nested pair,
+    ([1, 2], [1, 2, 3]), and the walk tests no other pair."""
+    data = random_model_point(7, random.Random(0)).to_json()
+    coords = next(e for e in data["components"] if e["subset"] == [1, 2])["coords"]
+    coords[1] = "1" if coords[1] == "0" else "0"
+    p = ModelPoint.from_json(data)
+    tests = []
+    vanish = wonderful_model._minors_vanish
+    monkeypatch.setattr(wonderful_model, "_minors_vanish",
+                        lambda u, v: tests.append((u, v)) or vanish(u, v))
+    assert first_violation(p) == ([1, 2], [1, 2, 3]) and len(tests) == 1
 
 
 def test_parse_keeps_every_refusal():
