@@ -249,7 +249,7 @@ def cmd_poset_homology(config) -> tuple[dict, int]:
 
 @Command("euler-check", "Cell-count Euler characteristic sum over orbit chains of (-2)^(n-m) "
          "against the alternating sum of Betti numbers.",
-         (Flag("N", 10, floor=1, ceiling=300),), table=True)
+         (Flag("N", 10, floor=1, ceiling=wonderful_model.MAX_EULER_N),), table=True)
 def cmd_euler_check(config) -> tuple[dict, int]:
     rows = []
     first_bad = None

@@ -49,11 +49,16 @@ by size and then lexicographically, built once per n by _keys.
 random_model_point draws an index into all_chains(n) and unranks it, so no
 chain is enumerated for a draw.
 
-A point of size n has 2^n - 1 components, so the reader bounds n itself:
-ModelPoint.from_json refuses an n above MAX_POINT_N = 7, for every caller,
-before any subset is built. The constructor, which takes no such limit,
-names a missing subset by walking the subsets by size up to the first one
-not given, so a large n with few components fails at once too.
+A point of size n has 2^n - 1 components, so _keys, the one list of a
+point's subsets, is the one gate on n: above MAX_POINT_N = 7 it raises
+ValueError before it builds any subset. Every entry point that takes a size
+reaches it first. The constructor reads its singletons, its ground set and
+its first missing subset off _keys(n); from_json calls it before it reads an
+entry; random_model_point and equivariance_report before any draw;
+torus_embedding before it reads a coordinate and representative_point before
+it validates its chain, both of which cost O(n); the other builders through
+_translate. euler_characteristic_cells builds no point but reads Stirling
+rows up to n, so it refuses an n above MAX_EULER_N = 300 before the first.
 """
 
 from __future__ import annotations
@@ -65,14 +70,21 @@ from math import comb
 
 from .combinatorics import SubsetChain, ordered_bell, ordered_chains, validate_chain
 
-# Largest n ModelPoint.from_json reads: a point has 2^n - 1 components.
+# Largest n a point may have: a point has 2^n - 1 components, and _keys,
+# which lists them, refuses a larger n.
 MAX_POINT_N = 7
+# Largest n euler_characteristic_cells takes: it reads Stirling rows up to n,
+# which combinatorics keeps for the life of the process.
+MAX_EULER_N = 300
 
 
 @lru_cache(maxsize=None)
 def _keys(n: int) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
     """(subset as a sorted tuple, its frozenset) for every nonempty subset of
-    [n], by size and then lex."""
+    [n], by size and then lex. The one gate on a point's size: an n above
+    MAX_POINT_N raises ValueError before any subset is built."""
+    if n > MAX_POINT_N:
+        raise ValueError(f"the point's n = {n} is limited to {MAX_POINT_N}")
     ground = range(1, n + 1)
     return tuple((sub, frozenset(sub)) for size in ground for sub in combinations(ground, size))
 
@@ -91,12 +103,13 @@ class ModelPoint:
     def __init__(self, n: int, components):
         if n < 1:
             raise ValueError("n must be positive")
+        keys = _keys(n)
         self.n = n
-        ground = frozenset(range(1, n + 1))
-        comps, parsed = {}, {}  # parsed: each distinct string, once per construction
+        comps = {key: (1,) for _, key in keys[:n]}  # a singleton defaults to (1,)
+        parsed = {}  # each distinct string, once per construction
         for subset, coords in components.items():
             subset = frozenset(subset)
-            if not subset or not subset <= ground:
+            if not subset or not subset <= keys[-1][1]:  # keys[-1] is [n] itself
                 raise ValueError(f"bad subset {sorted(subset)}")
             if any(isinstance(c, str) and "e" in c.lower() for c in coords):
                 raise ValueError(f"component {sorted(subset)} has a coordinate with an "
@@ -111,12 +124,8 @@ class ModelPoint:
             if not any(coords):
                 raise ValueError(f"component {sorted(subset)} is identically zero")
             comps[subset] = coords
-        for i in range(1, n + 1):
-            comps.setdefault(frozenset([i]), (1,))
-        if len(comps) < 2 ** n - 1:  # the first missing subset, without listing them all
-            missing = next(sub for size in range(2, n + 1)
-                           for sub in combinations(range(1, n + 1), size)
-                           if frozenset(sub) not in comps)
+        if len(comps) < len(keys):
+            missing = next(sub for sub, key in keys if key not in comps)
             raise ValueError(f"missing component {list(missing)}")
         self.components = comps
 
@@ -155,8 +164,7 @@ class ModelPoint:
                 isinstance(e, dict) and _list_of(e.get("subset"), int)
                 and _list_of(e.get("coords"), (int, str)) for e in entries):
             raise ValueError('a point is {"n": int, "components": [{"subset", "coords"}, ...]}')
-        if n > MAX_POINT_N:
-            raise ValueError(f"the point's n = {n} is limited to {MAX_POINT_N}")
+        _keys(n)  # refuses an n above MAX_POINT_N before any entry is read
         comps = {}
         for entry in entries:
             sub = entry["subset"]
@@ -195,6 +203,7 @@ def _products_equal(a, b, c, d) -> bool:
 def torus_embedding(coords) -> ModelPoint:
     """Image of a torus element: every component restricts the same tuple."""
     coords = tuple(coords)
+    _keys(len(coords))  # refuses an n above MAX_POINT_N before any entry is read
     t = _torus_element(coords, len(coords))
     return _translate((frozenset(range(1, len(t) + 1)), frozenset()), t)
 
@@ -288,6 +297,8 @@ def _orbit(p: ModelPoint) -> tuple[SubsetChain, tuple]:
 def representative_point(chain: SubsetChain) -> ModelPoint:
     """Canonical point on the orbit of a chain: each block's component is 1
     away from the next block and 0 on it, propagated to all subsets."""
+    if chain:  # refuses an n above MAX_POINT_N before validating, which reads [n]
+        _keys(len(chain[0]))
     validate_chain(chain)
     return _translate(chain, (1,) * len(chain[0]))
 
@@ -420,6 +431,8 @@ def euler_characteristic_cells(n: int) -> int:
     factor -2 per real 1-torus."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_EULER_N:
+        raise ValueError(f"the cell count's n = {n} is limited to {MAX_EULER_N}")
     return sum(ordered_chains(n, m) * (-2) ** (n - m) for m in range(1, n + 1))
 
 
@@ -463,6 +476,7 @@ def unrank_chain(n: int, r: int) -> SubsetChain:
 def random_model_point(n: int, rng) -> ModelPoint:
     """A torus translate of a random orbit representative; exercises strata of
     every depth, not just the open orbit."""
+    _keys(n)  # refuses an n above MAX_POINT_N before any draw
     chain = unrank_chain(n, rng.randrange(ordered_bell(n)))
     return _translate(chain, random_torus_element(n, rng))
 
@@ -471,6 +485,7 @@ def equivariance_report(n: int, trials: int, seed: int) -> dict:
     """Randomized action checks; the report counts failures per property."""
     import random
 
+    _keys(n)  # refuses an n above MAX_POINT_N before any draw
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):

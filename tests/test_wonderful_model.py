@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -558,21 +559,69 @@ def test_each_distinct_string_parsed_once(monkeypatch):
 
 
 def test_large_n_refused_without_listing_subsets(monkeypatch):
-    """The constructor names the first missing subset, and from_json refuses
-    an n above MAX_POINT_N, without building the subsets of [n]."""
+    """The constructor and from_json refuse an n above MAX_POINT_N without
+    building the subsets of [n]."""
     keys = wonderful_model._keys
 
     def small_keys(n):
+        subsets = keys(n)
         if n > 7:
-            raise AssertionError(f"_keys({n}) lists 2^{n} - 1 subsets")
-        return keys(n)
+            raise AssertionError(f"_keys({n}) listed 2^{n} - 1 subsets")
+        return subsets
 
     monkeypatch.setattr(wonderful_model, "_keys", small_keys)
-    with pytest.raises(ValueError, match=r"missing component \[1, 2\]"):
+    with pytest.raises(ValueError, match="limited to 7"):
         ModelPoint(30, {})
     with pytest.raises(ValueError, match="limited to 7"):
         ModelPoint.from_json({"n": 30, "components": []})
     assert wonderful_model.MAX_POINT_N == 7
+
+
+def test_every_size_entry_point_refuses_its_limit(monkeypatch):
+    """Every entry point that takes a size refuses its limit + 1 and
+    n = 10**6 with ValueError in under 0.1 s. _keys is wrapped to fail if it
+    lists the subsets of an n above MAX_POINT_N, and stirling2 to fail above
+    MAX_EULER_N, so no refusal comes after the work it guards. A size-n input
+    (torus coordinates, a chain) is built before the call is timed."""
+    keys, stirling2 = wonderful_model._keys, combinatorics.stirling2
+    point_n, euler_n = wonderful_model.MAX_POINT_N, wonderful_model.MAX_EULER_N
+
+    def small_keys(n):
+        subsets = keys(n)
+        assert n <= point_n, f"_keys({n}) listed 2^{n} - 1 subsets"
+        return subsets
+
+    def small_stirling2(n, k):
+        assert n <= euler_n, f"stirling2({n}, {k}) read a row past {euler_n}"
+        return stirling2(n, k)
+
+    def chain(n):  # [n] > [7] > [6] > ... > {}: every step down at n = 8
+        return (frozenset(range(1, n + 1)),
+                *(frozenset(range(1, k + 1)) for k in range(7, -1, -1)))
+
+    monkeypatch.setattr(wonderful_model, "_keys", small_keys)
+    monkeypatch.setattr(combinatorics, "stirling2", small_stirling2)
+    # (name, limit, build: n -> the call's argument, int for the size itself, call)
+    entry_points = [
+        ("ModelPoint", point_n, int, lambda n: ModelPoint(n, {})),
+        ("from_json", point_n, int, lambda n: ModelPoint.from_json({"n": n, "components": []})),
+        ("torus_embedding", point_n, lambda n: tuple(range(1, n + 1)), torus_embedding),
+        ("representative_point", point_n, chain, representative_point),
+        ("random_model_point", point_n, int, lambda n: random_model_point(n, random.Random(0))),
+        ("equivariance_report", point_n, int, lambda n: equivariance_report(n, 1, 0)),
+        ("euler_characteristic_cells", euler_n, int, euler_characteristic_cells),
+    ]
+    for name, limit, build, call in entry_points:
+        for n in (limit + 1, 10 ** 6):
+            arg = build(n)
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"n = {n} is limited to {limit}"):
+                call(arg)
+            assert time.perf_counter() - start < 0.1, (name, n)
+    # from_json refuses the size before it reads an entry it would also refuse
+    bad_entry = {"subset": [2, 1], "coords": ["1", "1"]}
+    with pytest.raises(ValueError, match="limited to 7"):
+        ModelPoint.from_json({"n": 8, "components": [bad_entry]})
 
 
 def test_first_violation_stops_at_the_first_failing_pair(monkeypatch):
