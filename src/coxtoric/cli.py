@@ -36,7 +36,7 @@ from contextlib import nullcontext
 from typing import Callable, NamedTuple
 
 from . import cohomology, cup_product, poset_homology, wonderful_model
-from .combinatorics import partitions_of
+from .combinatorics import MAX_STIRLING_N, partitions_of
 from .poset_homology import MAX_BRUTE_FORCE_BOUND
 from .rep_ring import SchurVector
 
@@ -249,7 +249,7 @@ def cmd_poset_homology(config) -> tuple[dict, int]:
 
 @Command("euler-check", "Cell-count Euler characteristic sum over orbit chains of (-2)^(n-m) "
          "against the alternating sum of Betti numbers.",
-         (Flag("N", 10, floor=1, ceiling=wonderful_model.MAX_EULER_N),), table=True)
+         (Flag("N", 10, floor=1, ceiling=MAX_STIRLING_N),), table=True)
 def cmd_euler_check(config) -> tuple[dict, int]:
     rows = []
     first_bad = None
@@ -309,7 +309,7 @@ def cmd_model_check(config) -> tuple[dict, int]:
 
 @Command("cup-dim", "Dimension 3 * C(n, 4) of the span of products of degree-one classes, "
          "strictly below dim H^2 = 5 * C(n, 4).",
-         (Flag("n", required=True, floor=2, ceiling=40),))
+         (Flag("n", required=True, floor=2, ceiling=cup_product.MAX_CUP_DIM_N),))
 def cmd_cup_dim(config) -> tuple[dict, int]:
     dim = cup_product.cup_span_dimension(config.n)
     betti_2 = cohomology.betti(config.n, 2)

@@ -91,7 +91,10 @@ def _signed_series(N: int, rep) -> RepSeries:
 
 
 def cohomology_series_poset(N: int) -> RepSeries:
-    """1 + sum over n of sum over i of H^i * (-t)^i, poset route."""
+    """1 + sum over n of sum over i of H^i * (-t)^i, poset route. The largest
+    interval, of size 2 * (N // 2), is asked for first: an N past the interval
+    gate raises ValueError before any other interval is built."""
+    poset_homology.homology_ranks(2 * (N // 2))
     return _signed_series(N, rep_via_poset)
 
 
@@ -113,10 +116,10 @@ def poset_series_sides(N: int):
     Left: 1 + sum over even n of (-1)^{n/2} (top homology below [n]), with the
     homology characters computed by the order-complex route. Right: the series
     inverse of 1 + sum over even n >= 2 of h_n, from the cached
-    even_series_inverse(n), whose omega rep_via_induction reads.
+    even_series_inverse(n), whose omega rep_via_induction reads. The largest
+    interval is asked for first, as in cohomology_series_poset.
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    poset_homology.homology_ranks(2 * (N // 2))
     lhs = {n: -poset_homology.top_interval_representation(n) if n % 4
            else poset_homology.top_interval_representation(n) for n in range(0, N + 1, 2)}
     rhs = {n: even_series_inverse(n) for n in range(0, N + 1, 2)}

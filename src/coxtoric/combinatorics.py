@@ -3,17 +3,42 @@
 Ground sets are {1, ..., n}. Subsets travel as frozensets internally and as
 sorted integer lists in JSON; partitions are weakly decreasing tuples of
 positive integers, ordered reverse-lexicographically everywhere.
+
+Each size limit sits in the function that pays for it and is checked before
+any work. partitions_of(n), the one list every class walk of the character
+side reads, refuses n above MAX_PARTITION_N = 30. Two tables are kept for the
+life of the process: stirling2, the one function that grows the Stirling
+rows, refuses n above MAX_STIRLING_N = 300 before it adds a row, so
+ordered_chains, ordered_bell, wonderful_model's unrank_chain and its cell
+count all reach one gate; secant_numbers refuses an index above
+MAX_SECANT_INDEX = 600.
+
+exact_rational is the one reader of exact rationals for coefficients and torus
+elements: an int or a Fraction, or a string of one. An exponent, which
+Fraction would expand digit by digit, a zero denominator, a float and a bool
+are refused with ValueError.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
 Partition = tuple[int, ...]
 SubsetChain = tuple[frozenset, ...]
+
+# Largest n whose partitions are listed: every class walk of the character
+# side reads partitions_of(n), and branching-check --n 29 reads n = 30.
+MAX_PARTITION_N = 30
+# Largest n of a Stirling row, which stirling2 keeps for the life of the
+# process; euler-check --N takes it as its ceiling.
+MAX_STIRLING_N = 300
+# Largest index of a secant number, which secant_numbers keeps for the life of
+# the process: A_600 costs 0.23 s cold, A_1200 3.0 s.
+MAX_SECANT_INDEX = 600
 
 
 def is_partition(parts) -> bool:
@@ -34,6 +59,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic, (n) first and (1,...,1) last."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_PARTITION_N:
+        raise ValueError(f"the partitions' n = {n} is limited to {MAX_PARTITION_N}")
 
     def gen(rem, maxpart):
         if rem == 0:
@@ -66,6 +93,8 @@ def secant_numbers(max_index: int) -> list[int]:
     """
     if max_index < 0 or max_index % 2:
         raise ValueError("max_index must be even and nonnegative")
+    if max_index > MAX_SECANT_INDEX:
+        raise ValueError(f"the secant index {max_index} is limited to {MAX_SECANT_INDEX}")
     for k in range(len(_SECANTS), max_index // 2 + 1):
         _SECANTS.append(sum((-1) ** (j + 1) * comb(2 * k, 2 * j) * _SECANTS[k - j]
                             for j in range(1, k + 1)))
@@ -119,13 +148,31 @@ def ordered_bell(n: int) -> int:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    """Stirling number of the second kind, by S(n, k) = k S(n-1, k) + S(n-1, k-1).
+    An n above MAX_STIRLING_N raises ValueError before any row is added."""
+    if n > MAX_STIRLING_N:
+        raise ValueError(f"the Stirling table's n = {n} is limited to {MAX_STIRLING_N}")
     if not 0 <= k <= n:
         return 0
     for m in range(len(_STIRLING), n + 1):
         prev = _STIRLING[-1]
         _STIRLING.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, m)] + [1])
     return _STIRLING[n][k]
+
+
+def exact_rational(value):
+    """value as an int or a Fraction: ints and Fractions pass, and a string is
+    read by Fraction. An exponent, a zero denominator, a float, a bool or any
+    other type raises ValueError."""
+    if type(value) in (int, Fraction):
+        return value
+    if not isinstance(value, str) or "e" in value.lower():
+        raise ValueError(f"{value!r} is not an exact rational: give an int, a Fraction "
+                         "or a string without an exponent")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 @lru_cache(maxsize=None)

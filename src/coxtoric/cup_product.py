@@ -47,6 +47,11 @@ from .combinatorics import partitions_of, cycle_type_representative
 from .rep_ring import (ClassFunction, SchurVector, decompose, induce_trivial, irrep_dimension,
                        pieri_h, restrict, to_class_function)
 
+# Largest n of cup_span_dimension, which reduces every pair of index pairs and
+# keeps the 3 * C(n, 4) keys: 0.6 s and 73 MB cold at n = 40, 5.4 s and 348 MB
+# at 60. cup-dim --n takes it as its ceiling.
+MAX_CUP_DIM_N = 40
+
 
 def degree_one_class(i: int, j: int) -> tuple[tuple[int, int], int]:
     """Normal form of nu(i, j): the sorted index pair and a sign."""
@@ -92,6 +97,8 @@ def cup_span_dimension(n: int) -> int:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > MAX_CUP_DIM_N:
+        raise ValueError(f"the cup span's n = {n} is limited to {MAX_CUP_DIM_N}")
     pairs = list(combinations(range(1, n + 1), 2))
     seen = {key for a, b in combinations(pairs, 2) for key in cup_reduce(a, b)}
     if len(seen) != 3 * comb(n, 4) or not all(_is_pairing(key, n) for key in seen):

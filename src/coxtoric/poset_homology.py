@@ -52,6 +52,13 @@ character-side names from rep_ring, so no Pieri rule and no series inverse is
 used here; both series identities the verify commands check live in
 cohomology.
 
+The one size limit is the interval's, MAX_BRUTE_FORCE_BOUND, checked by
+IntervalComplex before any chain is built. Every entry point reaches it
+before other work: equivariant_top_character asks for the ranks before it
+runs the class trace, which walks every cycle type of S_n, and
+top_interval_representation, whitney_homology and cohomology's poset route
+go through it.
+
 Two results are cached because commands read them again: the homology ranks
 (read by the top character's comparison, then again by poset-homology for
 its ranks and its "concentrated" field) and the top character (re-read by
@@ -211,10 +218,10 @@ def homology_ranks(interval_size: int) -> dict[int, int]:
 
     Keys are the shifted degrees m = complex degree + 2; only nonzero ranks
     appear. The empty interval is {0: 1} by convention. The ranks are the
-    critical counts of `morse_certificate`, re-checked on every call.
+    critical counts of `morse_certificate`, re-checked on every call; any
+    other size that is odd, negative or above MAX_BRUTE_FORCE_BOUND is refused
+    by IntervalComplex before any chain is built.
     """
-    if interval_size < 0 or interval_size % 2:
-        raise ValueError("interval size must be even and nonnegative")
     if interval_size == 0:
         return {0: 1}
     enabled = gc.isenabled()
@@ -255,12 +262,13 @@ def equivariant_top_character(n: int) -> ClassFunction:
     in degree n/2, and its value at the identity is then the rank there. One
     comparison checks both: the ranks from the matching must be exactly
     {n/2: trace at the identity}. A failure aborts loudly rather than
-    returning a wrong character.
+    returning a wrong character. The ranks come first, so a size the interval
+    gate refuses runs no class trace.
     """
     if n == 0:
         return ClassFunction._of(0, {(): 1})
-    char = _hopf_trace(n)
     ranks = homology_ranks(n)
+    char = _hopf_trace(n)
     at_identity = char((1,) * n)
     if ranks != {n // 2: at_identity}:
         raise ArithmeticError(

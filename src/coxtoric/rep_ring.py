@@ -22,7 +22,16 @@ and inverse (schur_multiply, h_expansion) are only the tests' reference.
 Every sum of coefficients by key goes through _summed. A value is an int unless
 a division or an input makes it rational: _exact, the one division (by n! in
 decompose), returns an int when the quotient is whole, and the validating
-constructor keeps ints and Fractions and reads the rest as Fractions.
+constructor reads every value through combinatorics.exact_rational, which
+keeps ints and Fractions, reads a string as a Fraction and refuses the rest.
+
+Two limits bound the costs here that grow faster than their output, each
+checked before any work, inside the cached body where there is one, so a
+cache hit pays nothing. character_table(n), which decompose reads, refuses n
+above MAX_CHARACTER_TABLE_N = 16. The two Pieri recurrences,
+even_series_inverse and schur_multiply (which RepSeries' product and inverse
+use), refuse a degree above MAX_SERIES_DEGREE = 24. Every class walk reads
+partitions_of, whose limit is combinatorics.MAX_PARTITION_N.
 
 Two constructors build a SchurVector, and two a ClassFunction. The public
 SchurVector(n, coeffs), scale and ClassFunction(n, values) validate: every key
@@ -40,15 +49,25 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .combinatorics import (
     Partition,
     check_partition,
     class_data,
     conjugate,
+    exact_rational,
     partitions_of,
 )
+
+# Largest degree of a character table: decompose reads the whole table, which
+# takes 0.15 s and 26 MB cold at n = 16, 1.2 s and 91 MB at 20 and 12 s and
+# 624 MB at 24; rep-table --route poset decomposes at 12.
+MAX_CHARACTER_TABLE_N = 16
+# Largest degree of even_series_inverse and schur_multiply, whose costs grow
+# faster than their output: the series inverse takes 0.07 s cold at degree 22
+# and rep_via_induction(30, 15) 1.6 s; the formula-route benchmark reads 14.
+MAX_SERIES_DEGREE = 24
 
 
 def _summed(pairs) -> dict:
@@ -73,8 +92,7 @@ def _validated(n: int, entries, kind: str) -> dict:
         lam = check_partition(lam)
         if sum(lam) != n:
             raise ValueError(f"{kind} {lam} does not have degree {n}")
-        if type(c) not in (int, Fraction):
-            c = Fraction(c)
+        c = exact_rational(c)
         if c:
             clean[lam] = c
     return clean
@@ -150,14 +168,11 @@ class SchurVector:
 
 @lru_cache(maxsize=None)
 def irrep_dimension(lam: Partition) -> int:
-    """Dimension of the irreducible module for lam, by the hook length formula."""
-    n = sum(lam)
+    """Dimension of the irreducible module for lam, by the hook length formula:
+    n! divided once by the product of the hook lengths."""
     conj = conjugate(lam)
-    dim = factorial(n)
-    for i, row in enumerate(lam):
-        for j in range(row):
-            dim //= row - j + conj[j] - i - 1
-    return dim
+    return factorial(sum(lam)) // prod(row - j + conj[j] - i - 1
+                                       for i, row in enumerate(lam) for j in range(row))
 
 
 def _horizontal_strips(lam: Partition, k: int):
@@ -202,6 +217,8 @@ def even_series_inverse(degree: int) -> SchurVector:
     """Degree-d term R_d of (1 + sum over k >= 1 of h_{2k})^-1: R_0 = 1 and
     R_d = -(sum over even 2 <= k <= d of h_k R_{d-k}). Applying omega gives the
     term of (1 + sum over k >= 1 of e_{2k})^-1."""
+    if degree > MAX_SERIES_DEGREE:
+        raise ValueError(f"the series degree {degree} is limited to {MAX_SERIES_DEGREE}")
     if degree == 0:
         return SchurVector.unit()
     acc = SchurVector.zero(degree)
@@ -253,6 +270,8 @@ def _mn_value(lam: Partition, mu: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> dict[Partition, dict[Partition, int]]:
+    if n > MAX_CHARACTER_TABLE_N:
+        raise ValueError(f"the character table's n = {n} is limited to {MAX_CHARACTER_TABLE_N}")
     parts = partitions_of(n)
     return {lam: {mu: _mn_value(lam, mu) for mu in parts} for lam in parts}
 
@@ -348,7 +367,10 @@ def h_expansion(lam: Partition):
 def schur_multiply(u: SchurVector, v: SchurVector) -> SchurVector:
     """General induction product. Each constituent of the smaller factor is
     either a column e_k, done by vertical strips, or expanded into h-products,
-    each done by horizontal strips; a single row (k) expands to h_k itself."""
+    each done by horizontal strips; a single row (k) expands to h_k itself.
+    A product degree above MAX_SERIES_DEGREE raises ValueError."""
+    if u.n + v.n > MAX_SERIES_DEGREE:
+        raise ValueError(f"the product degree {u.n + v.n} is limited to {MAX_SERIES_DEGREE}")
     if u.n > v.n:
         u, v = v, u
     acc = SchurVector.zero(u.n + v.n)

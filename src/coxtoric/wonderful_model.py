@@ -57,8 +57,12 @@ its first missing subset off _keys(n); from_json calls it before it reads an
 entry; random_model_point and equivariance_report before any draw;
 torus_embedding before it reads a coordinate and representative_point before
 it validates its chain, both of which cost O(n); the other builders through
-_translate. euler_characteristic_cells builds no point but reads Stirling
-rows up to n, so it refuses an n above MAX_EULER_N = 300 before the first.
+_translate. euler_characteristic_cells and unrank_chain build no point; the
+Stirling rows they read are bounded where they are kept, by
+combinatorics.MAX_STIRLING_N.
+
+A torus element is read by combinatorics.exact_rational, which refuses what a
+point file may not hold: an exponent, a zero denominator, a float or a bool.
 """
 
 from __future__ import annotations
@@ -68,14 +72,12 @@ from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
 
-from .combinatorics import SubsetChain, ordered_bell, ordered_chains, validate_chain
+from .combinatorics import (SubsetChain, exact_rational, ordered_bell, ordered_chains,
+                            validate_chain)
 
 # Largest n a point may have: a point has 2^n - 1 components, and _keys,
 # which lists them, refuses a larger n.
 MAX_POINT_N = 7
-# Largest n euler_characteristic_cells takes: it reads Stirling rows up to n,
-# which combinatorics keeps for the life of the process.
-MAX_EULER_N = 300
 
 
 @lru_cache(maxsize=None)
@@ -358,8 +360,9 @@ def torus_act(t, p: ModelPoint) -> ModelPoint:
 
 
 def _torus_element(t, n: int) -> tuple:
-    """t as n nonzero ints and Fractions, n >= 1; anything else is refused."""
-    t = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in t)
+    """t as n nonzero ints and Fractions, n >= 1, each read by exact_rational;
+    anything else is refused."""
+    t = tuple(map(exact_rational, t))
     if not t or len(t) != n or any(c == 0 for c in t):
         raise ValueError("torus element must have n nonzero entries")
     return t
@@ -431,8 +434,6 @@ def euler_characteristic_cells(n: int) -> int:
     factor -2 per real 1-torus."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > MAX_EULER_N:
-        raise ValueError(f"the cell count's n = {n} is limited to {MAX_EULER_N}")
     return sum(ordered_chains(n, m) * (-2) ** (n - m) for m in range(1, n + 1))
 
 

@@ -1,3 +1,5 @@
+import time
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -10,6 +12,7 @@ from coxtoric.combinatorics import (
     conjugate,
     cycle_type_representative,
     enumerate_chains,
+    exact_rational,
     ordered_bell,
     ordered_chains,
     partitions_of,
@@ -99,9 +102,10 @@ def test_chain_totals_match_ordered_bell():
 
 def test_cold_counts_do_not_recurse(monkeypatch):
     """From empty tables, n = 600 is one bottom-up pass: a recursive cache
-    overflows the stack on a cold call from about n = 500. The cell count
-    refuses n = 600 (its limit is MAX_EULER_N = 300), so its sum is taken
-    here over the chain counts."""
+    overflows the stack on a cold call from about n = 500. The Stirling
+    table refuses n = 600 (its limit is MAX_STIRLING_N = 300), so the limit
+    is raised to 600 here, where a recursive S(n, k) would still overflow."""
+    monkeypatch.setattr(combinatorics, "MAX_STIRLING_N", 600)
     monkeypatch.setattr(combinatorics, "_STIRLING", [[1]])
     cells = sum(ordered_chains(600, m) * (-2) ** (600 - m) for m in range(1, 601))
     assert cells == sum((-1) ** i * betti(600, i) for i in range(301))
@@ -148,3 +152,16 @@ def test_cycle_type_representative():
             w = cycle_type_representative(mu)
             assert sorted(w) == list(range(1, n + 1))
             assert permutation_cycle_type(w) == mu
+
+
+def test_exact_rational_reads_ints_fractions_and_their_strings():
+    """Ints and Fractions pass as they are, and a string of an integer, a
+    fraction or a decimal is read as a Fraction. An exponent, a zero
+    denominator, a float, a bool or another type is refused at once."""
+    assert exact_rational(3) == 3 and type(exact_rational(3)) is int
+    assert exact_rational(Fraction(1, 2)) == exact_rational("2/4") == exact_rational("0.5")
+    for bad in ("1e10000000", "1E-2", "1/0", "x", 0.1, True, None, b"1"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            exact_rational(bad)
+        assert time.perf_counter() - start < 0.1, bad

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from coxtoric import cli, poset_homology
-from coxtoric.cohomology import poset_series_sides, rep_via_poset
+from coxtoric.cohomology import cohomology_series_poset, poset_series_sides, rep_via_poset
 from coxtoric.combinatorics import cycle_type_representative, partitions_of
 from coxtoric.linalg import sparse_rank
 from coxtoric.poset_homology import (
@@ -410,7 +410,15 @@ def test_complex_not_retained(monkeypatch):
     lambda: equivariant_top_character(12),
     lambda: whitney_homology(12, 6),
     lambda: rep_via_poset(12, 6),
-], ids=["homology_ranks", "equivariant_top_character", "whitney_homology", "rep_via_poset"])
+    lambda: equivariant_top_character(80),
+    lambda: whitney_homology(80, 40),
+    lambda: rep_via_poset(80, 40),
+    lambda: top_interval_representation(80),
+    lambda: poset_series_sides(20),
+    lambda: cohomology_series_poset(13),
+], ids=["homology_ranks", "equivariant_top_character", "whitney_homology", "rep_via_poset",
+        "equivariant_top_character_80", "whitney_homology_80", "rep_via_poset_80",
+        "top_interval_representation_80", "poset_series_sides", "cohomology_series_poset"])
 def test_brute_force_ceiling(call):
     start = time.perf_counter()
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -338,3 +338,26 @@ def test_trusted_constructor_outputs_match_validated():
         assert (u + (-u)).is_zero()
         assert u + v == S(n, {lam: u.coeffs.get(lam, 0) + v.coeffs.get(lam, 0)
                               for lam in parts})
+
+
+def test_irrep_dimensions_square_sum_to_the_group_order():
+    """n! divided once by the hook product: the squares sum to n!, and
+    (n - 1, 1), its conjugate and (2, 2, 1^(n - 4)) have the dimensions their
+    hook products give."""
+    for n in range(1, 13):
+        assert sum(irrep_dimension(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
+    for n in (10, 100, 1000):
+        assert irrep_dimension((n - 1, 1)) == irrep_dimension((2,) + (1,) * (n - 2)) == n - 1
+        assert irrep_dimension((2, 2) + (1,) * (n - 4)) == n * (n - 3) // 2
+
+
+def test_coefficients_are_read_as_exact_rationals():
+    """The validating constructors read each value through exact_rational: a
+    string becomes a Fraction, and an exponent, a zero denominator, a float
+    or a bool is refused."""
+    assert S(2, {(2,): "1/2", (1, 1): 3}).coeffs == {(2,): Fraction(1, 2), (1, 1): 3}
+    for bad in ("1e100000000", "1/0", 0.5, True):
+        with pytest.raises(ValueError):
+            S(2, {(2,): bad})
+        with pytest.raises(ValueError):
+            ClassFunction(2, {(2,): bad})

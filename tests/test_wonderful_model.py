@@ -580,27 +580,23 @@ def test_large_n_refused_without_listing_subsets(monkeypatch):
 def test_every_size_entry_point_refuses_its_limit(monkeypatch):
     """Every entry point that takes a size refuses its limit + 1 and
     n = 10**6 with ValueError in under 0.1 s. _keys is wrapped to fail if it
-    lists the subsets of an n above MAX_POINT_N, and stirling2 to fail above
-    MAX_EULER_N, so no refusal comes after the work it guards. A size-n input
-    (torus coordinates, a chain) is built before the call is timed."""
-    keys, stirling2 = wonderful_model._keys, combinatorics.stirling2
-    point_n, euler_n = wonderful_model.MAX_POINT_N, wonderful_model.MAX_EULER_N
+    lists the subsets of an n above MAX_POINT_N, and after each call the
+    Stirling table must hold no row past combinatorics.MAX_STIRLING_N, so no
+    refusal comes after the work it guards. A size-n input (torus
+    coordinates, a chain) is built before the call is timed."""
+    keys = wonderful_model._keys
+    point_n, stirling_n = wonderful_model.MAX_POINT_N, combinatorics.MAX_STIRLING_N
 
     def small_keys(n):
         subsets = keys(n)
         assert n <= point_n, f"_keys({n}) listed 2^{n} - 1 subsets"
         return subsets
 
-    def small_stirling2(n, k):
-        assert n <= euler_n, f"stirling2({n}, {k}) read a row past {euler_n}"
-        return stirling2(n, k)
-
     def chain(n):  # [n] > [7] > [6] > ... > {}: every step down at n = 8
         return (frozenset(range(1, n + 1)),
                 *(frozenset(range(1, k + 1)) for k in range(7, -1, -1)))
 
     monkeypatch.setattr(wonderful_model, "_keys", small_keys)
-    monkeypatch.setattr(combinatorics, "stirling2", small_stirling2)
     # (name, limit, build: n -> the call's argument, int for the size itself, call)
     entry_points = [
         ("ModelPoint", point_n, int, lambda n: ModelPoint(n, {})),
@@ -609,7 +605,10 @@ def test_every_size_entry_point_refuses_its_limit(monkeypatch):
         ("representative_point", point_n, chain, representative_point),
         ("random_model_point", point_n, int, lambda n: random_model_point(n, random.Random(0))),
         ("equivariance_report", point_n, int, lambda n: equivariance_report(n, 1, 0)),
-        ("euler_characteristic_cells", euler_n, int, euler_characteristic_cells),
+        ("euler_characteristic_cells", stirling_n, int, euler_characteristic_cells),
+        ("ordered_bell", stirling_n, int, combinatorics.ordered_bell),
+        ("unrank_chain", stirling_n, int, lambda n: unrank_chain(n, 0)),
+        ("stirling2", stirling_n, int, lambda n: combinatorics.stirling2(n, 1)),
     ]
     for name, limit, build, call in entry_points:
         for n in (limit + 1, 10 ** 6):
@@ -618,6 +617,7 @@ def test_every_size_entry_point_refuses_its_limit(monkeypatch):
             with pytest.raises(ValueError, match=f"n = {n} is limited to {limit}"):
                 call(arg)
             assert time.perf_counter() - start < 0.1, (name, n)
+            assert len(combinatorics._STIRLING) <= stirling_n + 1, (name, n)
     # from_json refuses the size before it reads an entry it would also refuse
     bad_entry = {"subset": [2, 1], "coords": ["1", "1"]}
     with pytest.raises(ValueError, match="limited to 7"):
@@ -655,3 +655,17 @@ def test_parse_keeps_every_refusal():
     with pytest.raises(ValueError, match="exponent"):
         ModelPoint.from_json({"n": 2, "components": [
             {"subset": [1, 2], "coords": ["1/0", "1e5"]}]})
+
+
+def test_torus_element_refuses_what_a_point_file_may_not_hold():
+    """torus_embedding and torus_act read t through exact_rational: an
+    exponent is refused before Fraction would expand it, a zero denominator
+    is a ValueError, and a float or a bool is not read as a rational."""
+    p = torus_embedding([1, "2/3", -1])
+    assert p.components[frozenset({1, 2, 3})] == (1, Fraction(2, 3), -1)
+    for bad in ("1e10000000", "1/0", 0.1, True):
+        for call in (lambda: torus_embedding([bad, "1"]), lambda: torus_act([1, bad, 1], p)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError):
+                call()
+            assert time.perf_counter() - start < 0.1, bad
