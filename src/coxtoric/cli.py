@@ -36,12 +36,9 @@ from contextlib import nullcontext
 from typing import Callable, NamedTuple
 
 from . import cohomology, cup_product, poset_homology, wonderful_model
-from .combinatorics import MAX_STIRLING_N, partitions_of
+from .combinatorics import MAX_PARTITION_N, MAX_STIRLING_N, partitions_of
 from .poset_homology import MAX_BRUTE_FORCE_BOUND
 from .rep_ring import SchurVector
-
-# cup-rep cross-checks the Pieri route by the signed trace up to this n.
-CUP_REP_CROSS_CHECK_LIMIT = 20
 
 
 class UsageError(ValueError):
@@ -324,7 +321,7 @@ def cmd_cup_dim(config) -> tuple[dict, int]:
          "induced up, cross-checked by a signed-permutation character.",
          (Flag("n", required=True, floor=4, ceiling=10000),))
 def cmd_cup_rep(config) -> tuple[dict, int]:
-    checked = config.n <= CUP_REP_CROSS_CHECK_LIMIT
+    checked = config.n <= MAX_PARTITION_N  # the character side lists classes up to here
     rep = cup_product.cup_span_representation(config.n, cross_check=checked)
     return {
         "n": config.n,

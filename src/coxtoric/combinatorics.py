@@ -13,10 +13,12 @@ ordered_chains, ordered_bell, wonderful_model's unrank_chain and its cell
 count all reach one gate; secant_numbers refuses an index above
 MAX_SECANT_INDEX = 600.
 
-exact_rational is the one reader of exact rationals for coefficients and torus
-elements: an int or a Fraction, or a string of one. An exponent, which
-Fraction would expand digit by digit, a zero denominator, a float and a bool
-are refused with ValueError.
+Each outside value has one reader here. exact_rational reads the exact
+rationals of coefficients, point coordinates and torus elements: an int or a
+Fraction, or a string of one. An exponent, which Fraction would expand digit
+by digit, a zero denominator, a float and a bool are refused with ValueError.
+check_partition reads a partition key: a weakly decreasing sequence of
+positive ints, where a bool is not an int either.
 """
 
 from __future__ import annotations
@@ -41,15 +43,10 @@ MAX_STIRLING_N = 300
 MAX_SECANT_INDEX = 600
 
 
-def is_partition(parts) -> bool:
-    return all(isinstance(p, int) and p > 0 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
 def check_partition(parts) -> Partition:
     parts = tuple(parts)
-    if not is_partition(parts):
+    if not all(type(p) is int and p > 0 for p in parts) or any(
+            a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"not a partition: {parts!r}")
     return parts
 

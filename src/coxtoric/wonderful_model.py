@@ -36,9 +36,10 @@ between calls.
 
 Every other comparison is one rank-one test, _minors_vanish, which builds no
 Fraction: _products_equal decides a*b == c*d by integer cross-products, exact
-as denominators are positive, at once on shared operands. ModelPoint parses
-each distinct coordinate string once per construction; the exponent and
-zero-denominator checks still see every string.
+as denominators are positive, at once on shared operands. ModelPoint reads
+every coordinate through combinatorics.exact_rational and parses each distinct
+coordinate string once per construction. Only strings are kept for reuse, so
+a bool after an equal int is still refused.
 
 A ModelPoint is immutable, so the scan's result, the chain or None, is kept
 on it: is_on_model, orbit_of and degeneration_witness scan one point once,
@@ -61,8 +62,8 @@ _translate. euler_characteristic_cells and unrank_chain build no point; the
 Stirling rows they read are bounded where they are kept, by
 combinatorics.MAX_STIRLING_N.
 
-A torus element is read by combinatorics.exact_rational, which refuses what a
-point file may not hold: an exponent, a zero denominator, a float or a bool.
+A torus element is read by the same combinatorics.exact_rational as a
+coordinate, so both refuse an exponent, a zero denominator, a float or a bool.
 """
 
 from __future__ import annotations
@@ -113,14 +114,8 @@ class ModelPoint:
             subset = frozenset(subset)
             if not subset or not subset <= keys[-1][1]:  # keys[-1] is [n] itself
                 raise ValueError(f"bad subset {sorted(subset)}")
-            if any(isinstance(c, str) and "e" in c.lower() for c in coords):
-                raise ValueError(f"component {sorted(subset)} has a coordinate with an "
-                                 "exponent; coordinates are exact rationals")
-            try:
-                coords = tuple(c if type(c) in (int, Fraction) else parsed[c] if c in parsed
-                               else parsed.setdefault(c, Fraction(c)) for c in coords)
-            except ZeroDivisionError:
-                raise ValueError("a coordinate has a zero denominator") from None
+            coords = tuple(exact_rational(c) if type(c) is not str else parsed[c] if c in parsed
+                           else parsed.setdefault(c, exact_rational(c)) for c in coords)
             if len(coords) != len(subset):
                 raise ValueError(f"component {sorted(subset)} has wrong length")
             if not any(coords):
@@ -158,8 +153,8 @@ class ModelPoint:
         """Point from the README's JSON shape. Another shape or an n above
         MAX_POINT_N raises ValueError before any subset is built. So does a
         subset listed twice or not strictly increasing, rather than being
-        dropped or read in sorted order; ModelPoint rejects a zero denominator
-        or an exponent."""
+        dropped or read in sorted order; ModelPoint reads each coordinate
+        through exact_rational."""
         data = data if isinstance(data, dict) else {}
         n, entries = data.get("n"), data.get("components")
         if type(n) is not int or not isinstance(entries, list) or not all(

@@ -569,6 +569,11 @@ def test_cup_commands(capsys):
     assert {tuple(m["partition"]) for m in payload["multiplicities"]} == {
         (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)}
 
+    # the trace cross-checks wherever the character side lists the classes
+    for n, checked in (("30", True), ("31", False)):
+        code, out, _ = run_cli(capsys, "cup-rep", "--n", n)
+        assert code == 0 and json.loads(out)["character_cross_checked"] is checked
+
 
 def test_branching_command(capsys):
     code, out, _ = run_cli(capsys, "branching-check", "--n", "4")
@@ -632,12 +637,12 @@ def test_printed_modules_are_genuine(monkeypatch, capsys):
     assert "negative or not whole" in json.loads(err)["discrepancy"]
 
 
-@pytest.mark.parametrize("argv", [("cup-rep", "--n", "30"), ("cup-rep", "--n", "12"),
+@pytest.mark.parametrize("argv", [("cup-rep", "--n", "31"), ("cup-rep", "--n", "12"),
                                   ("branching-check", "--n", "12")],
-                         ids=["cup-rep-30", "cup-rep-12", "branching-check-12"])
+                         ids=["cup-rep-31", "cup-rep-12", "branching-check-12"])
 def test_cup_span_dimension_checked_at_every_n(monkeypatch, capsys, argv):
     """A Pieri route that drops one constituent misses 3 * C(n, 4), above
-    n = 20 too, where no trace cross-checks it."""
+    n = 30 too, where no trace cross-checks it."""
     honest = cup_product.pieri_h
 
     def dropping(vec, k):

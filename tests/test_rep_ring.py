@@ -354,10 +354,14 @@ def test_irrep_dimensions_square_sum_to_the_group_order():
 def test_coefficients_are_read_as_exact_rationals():
     """The validating constructors read each value through exact_rational: a
     string becomes a Fraction, and an exponent, a zero denominator, a float
-    or a bool is refused."""
+    or a bool is refused. A bool in a partition key is refused too."""
     assert S(2, {(2,): "1/2", (1, 1): 3}).coeffs == {(2,): Fraction(1, 2), (1, 1): 3}
     for bad in ("1e100000000", "1/0", 0.5, True):
         with pytest.raises(ValueError):
             S(2, {(2,): bad})
         with pytest.raises(ValueError):
             ClassFunction(2, {(2,): bad})
+    with pytest.raises(ValueError):
+        S(1, {(True,): 1})
+    with pytest.raises(ValueError):
+        ClassFunction(1, {(True,): 1})

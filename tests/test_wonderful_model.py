@@ -521,7 +521,7 @@ def test_coordinate_strings():
     assert q.components[FULL3] == (Fraction(1, 2),) * 3 and q.components[frozenset({1, 2})] == (-0.5, -0.5)
     assert q.components[frozenset({1, 3})] == (0, 1)
     assert q.components[frozenset({2, 3})] == (1, 1)
-    for bad in ("1e2", "1E-2", "2/0", "x"):
+    for bad in ("1e2", "1E-2", "2/0", "x", 0.5, True, None):
         with pytest.raises(ValueError):
             point3(("1", bad, "1"), (1, 2), (0, 1), (0, 1))
 
@@ -546,7 +546,7 @@ def test_each_distinct_string_parsed_once(monkeypatch):
         parses.append(value)
         return Fraction(value)
 
-    monkeypatch.setattr(wonderful_model, "Fraction", counting)
+    monkeypatch.setattr(combinatorics, "Fraction", counting)
     points = []
     for _ in range(2):
         parses.clear()
@@ -638,10 +638,10 @@ def test_first_violation_stops_at_the_first_failing_pair(monkeypatch):
     assert first_violation(p) == ([1, 2], [1, 2, 3]) and len(tests) == 1
 
 
-def test_parse_keeps_every_refusal():
+def test_parse_keeps_every_refusal(monkeypatch):
     """A repeated zero denominator is refused on every construction; an
-    exponent is refused wherever it first appears, and ahead of a zero
-    denominator in the same component."""
+    exponent is refused wherever it first appears, and after a zero
+    denominator in the same component it is never handed to Fraction."""
     ok = {"subset": [1, 2], "coords": ["2", "1/3"]}
     for _ in range(2):
         with pytest.raises(ValueError, match="zero denominator"):
@@ -652,9 +652,13 @@ def test_parse_keeps_every_refusal():
         with pytest.raises(ValueError, match="exponent"):
             ModelPoint.from_json({"n": 3, "components": [
                 ok, {"subset": [1, 3], "coords": ["2", bad]}]})
-    with pytest.raises(ValueError, match="exponent"):
+    parses, fraction = [], combinatorics.Fraction
+    monkeypatch.setattr(combinatorics, "Fraction",
+                        lambda value: parses.append(value) or fraction(value))
+    with pytest.raises(ValueError):
         ModelPoint.from_json({"n": 2, "components": [
             {"subset": [1, 2], "coords": ["1/0", "1e5"]}]})
+    assert "1e5" not in parses
 
 
 def test_torus_element_refuses_what_a_point_file_may_not_hold():
