@@ -17,8 +17,8 @@ Each outside value has one reader here. exact_rational reads the exact
 rationals of coefficients, point coordinates and torus elements: an int or a
 Fraction, or a string of one. An exponent, which Fraction would expand digit
 by digit, a zero denominator, a float and a bool are refused with ValueError.
-check_partition reads a partition key: a weakly decreasing sequence of
-positive ints, where a bool is not an int either.
+check_partition reads a partition key: a tuple or list of positive ints,
+weakly decreasing, where a bool is not an int either.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ MAX_SECANT_INDEX = 600
 
 
 def check_partition(parts) -> Partition:
-    parts = tuple(parts)
-    if not all(type(p) is int and p > 0 for p in parts) or any(
+    if not isinstance(parts, (tuple, list)) or not all(
+            type(p) is int and p > 0 for p in parts) or any(
             a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"not a partition: {parts!r}")
-    return parts
+    return tuple(parts)
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,8 @@ a division or an input makes it rational: _exact, the one division (by n! in
 decompose), returns an int when the quotient is whole, and the validating
 constructor reads every value through combinatorics.exact_rational, which
 keeps ints and Fractions, reads a string as a Fraction and refuses the rest.
+That constructor, _validated, also refuses a degree that is not an int n >= 0
+and entries that are neither a dict nor None, each with ValueError.
 
 Two limits bound the costs here that grow faster than their output, each
 checked before any work, inside the cached body where there is one, so a
@@ -86,7 +88,10 @@ def _exact(num, den: int):
 
 
 def _validated(n: int, entries, kind: str) -> dict:
-    """Nonzero ints and Fractions keyed by partitions of n; kind names a bad key."""
+    """Nonzero ints and Fractions keyed by partitions of n, an int >= 0, read
+    from a dict or None; kind names a bad key."""
+    if type(n) is not int or n < 0 or not isinstance(entries, (dict, type(None))):
+        raise ValueError(f"{kind}s need an int degree n >= 0 and a dict of values")
     clean = {}
     for lam, c in (entries or {}).items():
         lam = check_partition(lam)

@@ -36,10 +36,19 @@ between calls.
 
 Every other comparison is one rank-one test, _minors_vanish, which builds no
 Fraction: _products_equal decides a*b == c*d by integer cross-products, exact
-as denominators are positive, at once on shared operands. ModelPoint reads
-every coordinate through combinatorics.exact_rational and parses each distinct
-coordinate string once per construction. Only strings are kept for reuse, so
-a bool after an equal int is still refused.
+as denominators are positive, at once on shared operands.
+
+The ModelPoint constructor is the one reader of a point. It refuses with
+ValueError an n that is not an int of at least 1, components that are not a
+dict, a subset that is not a tuple or frozenset of ints inside [n], and a
+coordinate list that is not a list or tuple of one entry per element; a bool
+is not an int in any of them. It reads every coordinate through
+combinatorics.exact_rational and parses each distinct coordinate string once
+per construction. Only strings are kept for reuse, so a bool after an equal
+int is still refused. from_json reads only the JSON shape it needs to key the
+entries: an int n, a list of entries whose subsets are lists of ints, strictly
+increasing and not listed twice. It hands each entry's coords to the
+constructor as given.
 
 A ModelPoint is immutable, so the scan's result, the chain or None, is kept
 on it: is_on_model, orbit_of and degeneration_witness scan one point once,
@@ -104,20 +113,29 @@ class ModelPoint:
     __slots__ = ("n", "components", "_chain")
 
     def __init__(self, n: int, components):
-        if n < 1:
-            raise ValueError("n must be positive")
+        """The one reader of a point (see the module docstring): n is an int
+        of at least 1 and components a dict from nonempty tuples or
+        frozensets of ints inside [n] to lists or tuples of coordinates, one
+        per element, not all zero, each read by exact_rational. Every subset
+        of two or more elements needs a component. Anything else raises
+        ValueError."""
+        if type(n) is not int or n < 1 or not isinstance(components, dict):
+            raise ValueError("a point is an int n >= 1 and a dict of its components")
         keys = _keys(n)
         self.n = n
         comps = {key: (1,) for _, key in keys[:n]}  # a singleton defaults to (1,)
         parsed = {}  # each distinct string, once per construction
         for subset, coords in components.items():
+            if type(subset) not in (tuple, frozenset) or any(type(i) is not int for i in subset):
+                raise ValueError(f"a subset is a tuple or frozenset of ints, not {subset!r}")
             subset = frozenset(subset)
             if not subset or not subset <= keys[-1][1]:  # keys[-1] is [n] itself
                 raise ValueError(f"bad subset {sorted(subset)}")
+            if not isinstance(coords, (list, tuple)) or len(coords) != len(subset):
+                raise ValueError(f"component {sorted(subset)} is not a list of "
+                                 f"{len(subset)} coordinates")
             coords = tuple(exact_rational(c) if type(c) is not str else parsed[c] if c in parsed
                            else parsed.setdefault(c, exact_rational(c)) for c in coords)
-            if len(coords) != len(subset):
-                raise ValueError(f"component {sorted(subset)} has wrong length")
             if not any(coords):
                 raise ValueError(f"component {sorted(subset)} is identically zero")
             comps[subset] = coords
@@ -150,16 +168,17 @@ class ModelPoint:
 
     @staticmethod
     def from_json(data) -> "ModelPoint":
-        """Point from the README's JSON shape. Another shape or an n above
-        MAX_POINT_N raises ValueError before any subset is built. So does a
-        subset listed twice or not strictly increasing, rather than being
-        dropped or read in sorted order; ModelPoint reads each coordinate
-        through exact_rational."""
+        """Point from the README's JSON shape, read only as far as keying its
+        entries needs: an int n, refused above MAX_POINT_N before any entry
+        is read, and a list of entries whose subsets are lists of ints,
+        strictly increasing and not listed twice. Anything else raises
+        ValueError. Each entry's coords, or None when it has none, go to the
+        constructor as given, which reads them."""
         data = data if isinstance(data, dict) else {}
         n, entries = data.get("n"), data.get("components")
         if type(n) is not int or not isinstance(entries, list) or not all(
-                isinstance(e, dict) and _list_of(e.get("subset"), int)
-                and _list_of(e.get("coords"), (int, str)) for e in entries):
+                isinstance(e, dict) and isinstance(e.get("subset"), list)
+                and all(type(i) is int for i in e["subset"]) for e in entries):
             raise ValueError('a point is {"n": int, "components": [{"subset", "coords"}, ...]}')
         _keys(n)  # refuses an n above MAX_POINT_N before any entry is read
         comps = {}
@@ -169,14 +188,8 @@ class ModelPoint:
                 raise ValueError(f"subset {sub} is not strictly increasing")
             if frozenset(sub) in comps:
                 raise ValueError(f"subset {sub} is listed twice")
-            comps[frozenset(sub)] = entry["coords"]
+            comps[frozenset(sub)] = entry.get("coords")
         return ModelPoint(n, comps)
-
-
-def _list_of(value, types) -> bool:
-    """A JSON list whose items all have one of the types; bools are not ints."""
-    return isinstance(value, list) and all(
-        isinstance(x, types) and not isinstance(x, bool) for x in value)
 
 
 def _minors_vanish(u, v) -> bool:
@@ -365,7 +378,7 @@ def _torus_element(t, n: int) -> tuple:
 
 def permute_point(w, p: ModelPoint) -> ModelPoint:
     """Relabelling action: the I-component moves to w(I), entries following w."""
-    if sorted(w) != list(range(1, p.n + 1)):
+    if any(type(i) is not int for i in w) or sorted(w) != list(range(1, p.n + 1)):
         raise ValueError("w must be a permutation of 1..n")
     comps = {}
     for sub, key in _keys(p.n):

@@ -415,8 +415,13 @@ NESTED = "[" * 100000 + "]" * 100000
     '{"n": 3, "components": 5}',
     '{"n": 3, "components": [{"subset": 5, "coords": ["1"]}]}',
     '{"n": 3, "components": [{"subset": [1, 2], "coords": [null, 1]}]}',
+    '{"n": [3], "components": []}',
+    '{"n": true, "components": []}',
+    '{"n": 2, "components": [{"subset": [1, 2], "coords": "12"}]}',
+    '{"n": 2, "components": [{"subset": [1, 2]}]}',
     NESTED,
-], ids=["not-json", "list", "string-n", "int-components", "int-subset", "null-coord", "nested"])
+], ids=["not-json", "list", "string-n", "int-components", "int-subset", "null-coord",
+        "list-n", "bool-n", "string-coords", "no-coords", "nested"])
 def test_model_check_malformed_point(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
     path.write_text(text)

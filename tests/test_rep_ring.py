@@ -354,7 +354,9 @@ def test_irrep_dimensions_square_sum_to_the_group_order():
 def test_coefficients_are_read_as_exact_rationals():
     """The validating constructors read each value through exact_rational: a
     string becomes a Fraction, and an exponent, a zero denominator, a float
-    or a bool is refused. A bool in a partition key is refused too."""
+    or a bool is refused. A bool in a partition key is refused too, and so
+    are entries that are not a dict, a degree that is not an int and a key
+    that is not a tuple or list."""
     assert S(2, {(2,): "1/2", (1, 1): 3}).coeffs == {(2,): Fraction(1, 2), (1, 1): 3}
     for bad in ("1e100000000", "1/0", 0.5, True):
         with pytest.raises(ValueError):
@@ -365,3 +367,9 @@ def test_coefficients_are_read_as_exact_rationals():
         S(1, {(True,): 1})
     with pytest.raises(ValueError):
         ClassFunction(1, {(True,): 1})
+    # the container is read too: a dict or None, a nonnegative int degree, and
+    # a partition key that is a tuple or list
+    for make, n, entries in [(S, 3, [((3,), 1)]), (ClassFunction, 2, [((2,), 1)]),
+                             (S, True, {(1,): 1}), (S, 3, {3: 1})]:
+        with pytest.raises(ValueError):
+            make(n, entries)

@@ -413,6 +413,10 @@ def test_group_actions():
     p = point3((0, 1, 2), (0, 1), (0, 1), (1, 2))
     assert torus_act((1, 1, 1), p) == p
     assert permute_point((1, 2, 3), p) == p
+    two = torus_embedding((1, 2))
+    for w in ((2.0, 1), (True, 2)):  # sorted like (1, 2), but not ints
+        with pytest.raises(ValueError, match="w must be a permutation of 1..n"):
+            permute_point(w, two)
     rng = random.Random(1)
     for n in range(2, 6):
         q = random_model_point(n, rng)
@@ -512,6 +516,13 @@ def test_model_point_validation():
         ModelPoint(3, {FULL3: (1, 1, 1)})
     with pytest.raises(ValueError):
         ModelPoint(3, {frozenset({1, 4}): (1, 1)})
+    # the constructor reads n, the mapping, each subset and each coordinate
+    # list itself: a bool is not an int, and a string is not a coordinate list
+    for n, components in [(2, {(1, 2): "12"}), (True, {}), (2, {(1, 2): 5}),
+                          (2, [((1, 2), (1, 1))]), (2, {(True, 2): (1, 1)}), (2.0, {}),
+                          ([3], {})]:
+        with pytest.raises(ValueError):
+            ModelPoint(n, components)
 
 
 def test_coordinate_strings():
