@@ -33,7 +33,8 @@ Partition = tuple[int, ...]
 SubsetChain = tuple[frozenset, ...]
 
 # Largest n whose partitions are listed: every class walk of the character
-# side reads partitions_of(n), and branching-check --n 29 reads n = 30.
+# side reads partitions_of(n). branching-check --n 29 reads 4 and 29, and 30
+# only when it finds a witness and re-checks it at n + 1.
 MAX_PARTITION_N = 30
 # Largest n of a Stirling row, which stirling2 keeps for the life of the
 # process; euler-check --N takes it as its ceiling.
@@ -172,10 +173,8 @@ def exact_rational(value):
         raise ValueError(f"{value!r} has a zero denominator") from None
 
 
-@lru_cache(maxsize=None)
 def class_data(mu: Partition) -> tuple[int, int]:
-    """Centralizer order z_mu = prod i^{m_i} m_i! and the class size n!/z_mu.
-    Cached, since decompose reads it for every cycle type on every call."""
+    """Centralizer order z_mu = prod i^{m_i} m_i! and the class size n!/z_mu."""
     mu = check_partition(mu)
     n = sum(mu)
     z = 1

@@ -30,9 +30,21 @@ Each tau(kind) is computed once, through permute_basis_key on the pairings of
 
 The branching search seeks an S_(n+1)-module restricting to a target.
 Restrictions are multiplicity-free and multiplicities nonnegative, so a
-partition of n+1 with positive multiplicity restricts inside the target's
-support; it is a support partition plus one box, read off the Pieri product
-of the support with h_1. Every other partition is forced to 0 and left out.
+partition of n+1 with positive multiplicity restricts inside what is left of
+the target. Let mu be the largest constituent left with positive
+multiplicity, in tuple order (the order partitions_of lists first). Only two
+partitions of n+1 can then have positive multiplicity and restrict onto mu:
+mu with a new row of length 1, and mu with its last row one box longer, a
+partition only when mu has one row or its last row is shorter than the one
+above. Proof: let lam be mu plus a box in row r. Had lam a removable corner
+in a row below r, removing it would give a constituent nu of Res lam that
+agrees with mu above row r and is longer in row r, so nu > mu, and nu would
+need a positive residual, against the choice of mu. The last row of mu is
+such a corner unless r is that row or a new one. So mu's multiplicity is
+split between the two, their restrictions are subtracted, a negative residual
+is pruned, and the search recurses; every other constituent of either
+restriction is smaller than mu, so each level zeroes one constituent for good.
+When mu is empty (n = 0) it has no last row, and (1) is the one candidate.
 A witness the search finds is re-checked on the character side, by
 Murnaghan-Nakayama values at cycle types with one fixed point added, so a
 fault in the corner removal cannot pass as feasible.
@@ -44,8 +56,8 @@ from itertools import combinations
 from math import comb
 
 from .combinatorics import partitions_of, cycle_type_representative
-from .rep_ring import (ClassFunction, SchurVector, decompose, induce_trivial, irrep_dimension,
-                       pieri_h, restrict, to_class_function)
+from .rep_ring import (ClassFunction, SchurVector, decompose, induce_trivial, pieri_h, restrict,
+                       to_class_function)
 
 # Largest n of cup_span_dimension, which reduces every pair of index pairs and
 # keeps the 3 * C(n, 4) keys: 0.6 s and 73 MB cold at n = 40, 5.4 s and 348 MB
@@ -166,37 +178,36 @@ def branching_certificate(target: SchurVector) -> dict:
     """Search for nonnegative multiplicities c over partitions of n+1 with
     sum of c * restriction equal to the target.
 
-    Complete depth-first search over the partitions that restrict inside the
-    target's support, in decreasing order of (dimension, partition): each
-    multiplicity is bounded by the remaining target, and a branch is pruned
-    when some remaining coordinate can no longer be covered. An infeasible
-    answer is therefore exhaustive, not heuristic; a feasible one is re-checked
-    on characters, and ArithmeticError is raised if it fails there.
+    Complete depth-first search by the rule of the module docstring: each
+    level takes the largest constituent mu left, tries every split of its
+    multiplicity between mu with a new row of length 1 and mu with its last
+    row one box longer, and prunes a split that leaves a negative residual.
+    No other partition can restrict onto mu, so an infeasible answer is
+    exhaustive, not heuristic; a feasible one is re-checked on characters,
+    and ArithmeticError is raised if it fails there.
     """
     n = target.n
     if not target.is_integral() or any(c < 0 for c in target.coeffs.values()):
         raise ValueError("target must have nonnegative integer multiplicities")
-    support_plus_box = pieri_h(SchurVector._of(n, dict.fromkeys(target.coeffs, 1)), 1)
-    restrictions = ((lam, restrict(SchurVector(n + 1, {lam: 1})).coeffs)
-                    for lam in sorted(support_plus_box.coeffs,
-                                      key=lambda lam: (irrep_dimension(lam), lam), reverse=True))
-    candidates = [(lam, res) for lam, res in restrictions if res.keys() <= target.coeffs.keys()]
 
-    def search(idx, residual):
-        live = {mu for mu, c in residual.items() if c}
-        if not live:
+    def search(residual):
+        if not residual:
             return {}
-        if not live <= {mu for _, res in candidates[idx:] for mu in res}:
-            return None
-        lam, res = candidates[idx]
-        for c in range(min(residual[mu] for mu in res), -1, -1):
-            found = search(idx + 1, {mu: v - c if mu in res else v
-                                     for mu, v in residual.items()})
-            if found is not None:
-                return {lam: c, **found} if c else found
+        mu = max(residual)
+        # mu's last row one box longer, when that is a partition
+        longer = mu[:-1] + (mu[-1] + 1,) if mu and (len(mu) == 1 or mu[-1] < mu[-2]) else None
+        m = residual[mu]
+        for c in range(m, -1, -1) if longer else (m,):
+            chosen = {lam: k for lam, k in ((mu + (1,), c), (longer, m - c)) if k}
+            drop = restrict(SchurVector(n + 1, chosen)).coeffs
+            if all(residual.get(nu, 0) >= k for nu, k in drop.items()):
+                found = search({nu: v - drop.get(nu, 0) for nu, v in residual.items()
+                                if v != drop.get(nu, 0)})
+                if found is not None:
+                    return {**chosen, **found}
         return None
 
-    witness = search(0, {mu: int(c) for mu, c in target.coeffs.items()})
+    witness = search({mu: int(c) for mu, c in target.coeffs.items()})
     if witness is None:
         return {"status": "infeasible", "witness": None}
     # Re-checked on characters, with no corner removal: chi_lam restricted to

@@ -40,15 +40,18 @@ as denominators are positive, at once on shared operands.
 
 The ModelPoint constructor is the one reader of a point. It refuses with
 ValueError an n that is not an int of at least 1, components that are not a
-dict, a subset that is not a tuple or frozenset of ints inside [n], and a
-coordinate list that is not a list or tuple of one entry per element; a bool
-is not an int in any of them. It reads every coordinate through
-combinatorics.exact_rational and parses each distinct coordinate string once
-per construction. Only strings are kept for reuse, so a bool after an equal
-int is still refused. from_json reads only the JSON shape it needs to key the
-entries: an int n, a list of entries whose subsets are lists of ints, strictly
-increasing and not listed twice. It hands each entry's coords to the
-constructor as given.
+dict, a subset that is not a tuple or frozenset of ints inside [n], a tuple
+subset that is not strictly increasing, a subset named twice (as a tuple and
+as a frozenset), and a coordinate list that is not a list or tuple of one
+entry per element; a bool is not an int in any of them. A singleton given
+explicitly replaces its (1,) default and is not named twice. It reads every
+coordinate through combinatorics.exact_rational and parses each distinct
+coordinate string once per construction. Only strings are kept for reuse, so
+a bool after an equal int is still refused. from_json reads only the JSON
+shape it needs to key the entries: an int n, a list of entries whose subsets
+are lists of ints, not listed twice. It hands each subset to the constructor
+as a tuple, whose order the constructor checks, with the entry's coords as
+given.
 
 A ModelPoint is immutable, so the scan's result, the chain or None, is kept
 on it: is_on_model, orbit_of and degeneration_witness scan one point once,
@@ -115,22 +118,27 @@ class ModelPoint:
     def __init__(self, n: int, components):
         """The one reader of a point (see the module docstring): n is an int
         of at least 1 and components a dict from nonempty tuples or
-        frozensets of ints inside [n] to lists or tuples of coordinates, one
-        per element, not all zero, each read by exact_rational. Every subset
-        of two or more elements needs a component. Anything else raises
+        frozensets of ints inside [n], a tuple strictly increasing and each
+        subset named once, to lists or tuples of coordinates, one per
+        element, not all zero, each read by exact_rational. Every subset of
+        two or more elements needs a component. Anything else raises
         ValueError."""
         if type(n) is not int or n < 1 or not isinstance(components, dict):
             raise ValueError("a point is an int n >= 1 and a dict of its components")
         keys = _keys(n)
         self.n = n
-        comps = {key: (1,) for _, key in keys[:n]}  # a singleton defaults to (1,)
+        comps = {}
         parsed = {}  # each distinct string, once per construction
         for subset, coords in components.items():
             if type(subset) not in (tuple, frozenset) or any(type(i) is not int for i in subset):
                 raise ValueError(f"a subset is a tuple or frozenset of ints, not {subset!r}")
+            if type(subset) is tuple and any(a >= b for a, b in zip(subset, subset[1:])):
+                raise ValueError(f"subset {list(subset)} is not strictly increasing")
             subset = frozenset(subset)
             if not subset or not subset <= keys[-1][1]:  # keys[-1] is [n] itself
                 raise ValueError(f"bad subset {sorted(subset)}")
+            if subset in comps:
+                raise ValueError(f"subset {sorted(subset)} is named twice")
             if not isinstance(coords, (list, tuple)) or len(coords) != len(subset):
                 raise ValueError(f"component {sorted(subset)} is not a list of "
                                  f"{len(subset)} coordinates")
@@ -139,6 +147,8 @@ class ModelPoint:
             if not any(coords):
                 raise ValueError(f"component {sorted(subset)} is identically zero")
             comps[subset] = coords
+        for _, key in keys[:n]:
+            comps.setdefault(key, (1,))  # a singleton defaults to (1,)
         if len(comps) < len(keys):
             missing = next(sub for sub, key in keys if key not in comps)
             raise ValueError(f"missing component {list(missing)}")
@@ -170,10 +180,10 @@ class ModelPoint:
     def from_json(data) -> "ModelPoint":
         """Point from the README's JSON shape, read only as far as keying its
         entries needs: an int n, refused above MAX_POINT_N before any entry
-        is read, and a list of entries whose subsets are lists of ints,
-        strictly increasing and not listed twice. Anything else raises
-        ValueError. Each entry's coords, or None when it has none, go to the
-        constructor as given, which reads them."""
+        is read, and a list of entries whose subsets are lists of ints, not
+        listed twice. Anything else raises ValueError. Each subset goes to
+        the constructor as a tuple, which must be strictly increasing there,
+        and each entry's coords, or None when it has none, as given."""
         data = data if isinstance(data, dict) else {}
         n, entries = data.get("n"), data.get("components")
         if type(n) is not int or not isinstance(entries, list) or not all(
@@ -183,12 +193,10 @@ class ModelPoint:
         _keys(n)  # refuses an n above MAX_POINT_N before any entry is read
         comps = {}
         for entry in entries:
-            sub = entry["subset"]
-            if any(a >= b for a, b in zip(sub, sub[1:])):
-                raise ValueError(f"subset {sub} is not strictly increasing")
-            if frozenset(sub) in comps:
-                raise ValueError(f"subset {sub} is listed twice")
-            comps[frozenset(sub)] = entry.get("coords")
+            sub = tuple(entry["subset"])
+            if sub in comps:
+                raise ValueError(f"subset {list(sub)} is listed twice")
+            comps[sub] = entry.get("coords")
         return ModelPoint(n, comps)
 
 

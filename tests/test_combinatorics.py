@@ -142,6 +142,7 @@ def test_class_data():
     assert class_data((1, 1, 1, 1)) == (24, 1)
     assert class_data((4,)) == (4, 6)
     assert class_data((2, 1)) == (2, 3)
+    assert class_data([2, 1]) == (2, 3)
     for n in range(1, 9):
         assert sum(class_data(mu)[1] for mu in partitions_of(n)) == factorial(n)
 

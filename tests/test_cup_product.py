@@ -127,8 +127,9 @@ def test_branching_infeasible(n):
 
 
 def test_branching_candidates_come_from_the_support(monkeypatch):
-    """The search reads its candidates off the support plus one box; it
-    never lists the partitions of n + 1."""
+    """The search reads its candidates off the largest constituent left,
+    with a new row or a longer last row; it never lists the partitions of
+    n + 1."""
     def no_partitions_of_seven(n):
         if n == 7:
             raise AssertionError("partitions of n + 1 were listed")
@@ -179,14 +180,26 @@ def test_branching_witness_rechecked_on_characters(monkeypatch, capsys):
     assert out == "" and list(json.loads(err)) == ["discrepancy"]
 
 
-def test_branching_witness_reconstructs_general_target():
-    target = restrict(S(5, {(4, 1): 1, (3, 2): 2}))
+@pytest.mark.parametrize("target", [
+    restrict(S(5, {(4, 1): 1, (3, 2): 2})),
+    S(10, {lam: 5 for lam in partitions_of(10)}),
+    restrict(S(13, {lam: 1 for lam in partitions_of(13)})),
+    S(0, {(): 1}),
+], ids=["restriction-at-4", "five-of-every-partition-of-10",
+        "restriction-of-every-partition-of-13", "empty-partition"])
+def test_branching_witness_reconstructs_general_target(target):
+    """Each target is feasible, and its witness restricts back to it within
+    1 s: the search splits each constituent between at most two partitions,
+    so large multiplicities and many constituents stay cheap, and the empty
+    partition, which has no last row, has the witness (1)."""
+    start = time.perf_counter()
     cert = branching_certificate(target)
+    assert time.perf_counter() - start < 1
     assert cert["status"] == "feasible"
-    rebuilt = S.zero(4)
+    rebuilt = S.zero(target.n)
     for entry in cert["witness"]:
         lam = tuple(entry["partition"])
-        rebuilt = rebuilt + restrict(S(5, {lam: 1})).scale(entry["multiplicity"])
+        rebuilt = rebuilt + restrict(S(target.n + 1, {lam: 1})).scale(entry["multiplicity"])
     assert rebuilt == target
 
 

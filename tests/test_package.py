@@ -101,9 +101,9 @@ LIMITS = {
     "torus_act": "one pass over the components of a built point",
     "torus_embedding": lambda: coxtoric.torus_embedding(range(1, 9)),
     # cup_product
-    "branching_certificate": "its memory is one residual per level of a search over the "
-                             "target's support plus a box; no size limit bounds the "
-                             "search's time, which grows with the multiplicities",
+    "branching_certificate": "one residual per level, one level per constituent it "
+                             "zeroes, at most two partitions per level; no size limit "
+                             "bounds its time, which still grows where both fit",
     "branching_infeasibility": lambda: coxtoric.branching_infeasibility(70),
     "cup_reduce": "two index pairs in, one key out",
     "cup_span_dimension": lambda: coxtoric.cup_span_dimension(41),

@@ -517,10 +517,12 @@ def test_model_point_validation():
     with pytest.raises(ValueError):
         ModelPoint(3, {frozenset({1, 4}): (1, 1)})
     # the constructor reads n, the mapping, each subset and each coordinate
-    # list itself: a bool is not an int, and a string is not a coordinate list
+    # list itself: a bool is not an int, a string is not a coordinate list,
+    # a tuple subset is strictly increasing and a subset is named once
     for n, components in [(2, {(1, 2): "12"}), (True, {}), (2, {(1, 2): 5}),
                           (2, [((1, 2), (1, 1))]), (2, {(True, 2): (1, 1)}), (2.0, {}),
-                          ([3], {})]:
+                          ([3], {}), (2, {(2, 1): (1, 5)}),
+                          (2, {(1, 2): (1, 1), frozenset({1, 2}): (1, 2)})]:
         with pytest.raises(ValueError):
             ModelPoint(n, components)
 
