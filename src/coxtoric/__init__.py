@@ -28,7 +28,7 @@ _EXPORTS = {
                         "permute_point", "representative_point", "torus_act",
                         "torus_embedding"),
     "cup_product": ("branching_certificate", "branching_infeasibility", "cup_reduce",
-                    "cup_span_dimension", "cup_span_representation"),
+                    "cup_span_representation"),
 }
 _MODULES = {*_EXPORTS, "linalg"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

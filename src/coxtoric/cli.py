@@ -304,11 +304,19 @@ def cmd_model_check(config) -> tuple[dict, int]:
     return report, 0 if report["ok"] else 1
 
 
+def _cup_span(n: int) -> tuple[SchurVector, bool]:
+    """The cup span at n, and whether the signed trace cross-checked it: the
+    character side lists classes up to MAX_PARTITION_N, so it checks up to
+    there. cup-dim and cup-rep both pay for it, so both cap --n at 10000."""
+    checked = n <= MAX_PARTITION_N
+    return cup_product.cup_span_representation(n, cross_check=checked), checked
+
+
 @Command("cup-dim", "Dimension 3 * C(n, 4) of the span of products of degree-one classes, "
          "strictly below dim H^2 = 5 * C(n, 4).",
-         (Flag("n", required=True, floor=2, ceiling=cup_product.MAX_CUP_DIM_N),))
+         (Flag("n", required=True, floor=2, ceiling=10000),))
 def cmd_cup_dim(config) -> tuple[dict, int]:
-    dim = cup_product.cup_span_dimension(config.n)
+    dim = _cup_span(config.n)[0].dimension()
     betti_2 = cohomology.betti(config.n, 2)
     return {
         "n": config.n, "dimension": dim,
@@ -321,8 +329,7 @@ def cmd_cup_dim(config) -> tuple[dict, int]:
          "induced up, cross-checked by a signed-permutation character.",
          (Flag("n", required=True, floor=4, ceiling=10000),))
 def cmd_cup_rep(config) -> tuple[dict, int]:
-    checked = config.n <= MAX_PARTITION_N  # the character side lists classes up to here
-    rep = cup_product.cup_span_representation(config.n, cross_check=checked)
+    rep, checked = _cup_span(config.n)
     return {
         "n": config.n,
         "multiplicities": _rep_to_multiplicities(rep),

@@ -12,7 +12,9 @@ The cup span is evaluated once, by Pieri induction, and checked by one
 independent route: the signed trace of each permutation w on the pairing
 basis. The routes are compared as characters; characters determine
 decompositions, so this is as strong as comparing decompositions. At every
-n, traced or not, the Pieri route's dimension must be 3 * C(n, 4).
+n, traced or not, the Pieri route's dimension must be 3 * C(n, 4); its
+dimension is what cup-dim prints. Below n = 4 there is no 4-subset, and the
+span is the zero module.
 
 The trace is summed by kind of stable 4-set. A pairing fixed by w lies on a
 4-set that w maps to itself, a union of cycles of w. Its kind is the cycle
@@ -52,33 +54,34 @@ fault in the corner removal cannot pass as feasible.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from .combinatorics import partitions_of, cycle_type_representative
 from .rep_ring import (ClassFunction, SchurVector, decompose, induce_trivial, pieri_h, restrict,
                        to_class_function)
 
-# Largest n of cup_span_dimension, which reduces every pair of index pairs and
-# keeps the 3 * C(n, 4) keys: 0.6 s and 73 MB cold at n = 40, 5.4 s and 348 MB
-# at 60. cup-dim --n takes it as its ceiling.
-MAX_CUP_DIM_N = 40
-
 
 def degree_one_class(i: int, j: int) -> tuple[tuple[int, int], int]:
-    """Normal form of nu(i, j): the sorted index pair and a sign."""
-    if i == j or i < 1 or j < 1:
-        raise ValueError("indices must be distinct positive integers")
+    """Normal form of nu(i, j): the sorted index pair and a sign. The indices
+    must be distinct positive ints; a bool or any other type raises
+    ValueError."""
+    if type(i) is not int or type(j) is not int or i == j or i < 1 or j < 1:
+        raise ValueError(f"indices must be distinct positive integers, not {i!r}, {j!r}")
     return ((i, j), 1) if i < j else ((j, i), -1)
 
 
 def cup_reduce(first, second):
     """Product of two degree-one classes in normal form.
 
-    Returns a dict mapping a basis key ((a,b),(c,d)) with a<b, c<d, a<c to
-    the int coefficient 1 or -1; shared indices (squares included) give the
-    empty dict, and swapping the two factors into canonical order costs a sign.
+    Each factor is an index pair, read by degree_one_class; anything else
+    raises ValueError. Returns a dict mapping a basis key ((a,b),(c,d)) with
+    a<b, c<d, a<c to the int coefficient 1 or -1; shared indices (squares
+    included) give the empty dict, and swapping the two factors into
+    canonical order costs a sign.
     """
+    for factor in (first, second):
+        if not isinstance(factor, (tuple, list)) or len(factor) != 2:
+            raise ValueError(f"a degree-one class is an index pair, not {factor!r}")
     (p1, s1) = degree_one_class(*first)
     (p2, s2) = degree_one_class(*second)
     if set(p1) & set(p2):
@@ -93,36 +96,6 @@ def cup_reduce(first, second):
 def _pairings(i: int, j: int, k: int, l: int) -> tuple:
     """The three pairings of the 4-set i < j < k < l, as basis keys."""
     return (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
-
-
-def cup_span_dimension(n: int) -> int:
-    """Dimension of the span of all products of degree-one classes.
-
-    Every reduced product is, up to sign, one of the canonical pairing basis
-    elements, and all of them occur; the count is verified by actually
-    reducing products of two classes. Reversing a product only flips its
-    sign, since cup_reduce orders the two pairs, and a square shares its
-    indices and reduces to nothing, so each unordered pair of distinct index
-    pairs is reduced once. The pairings of [n] number 3 * C(n, 4), so reduced
-    keys that are all well-formed pairings and are that many are exactly the
-    pairing basis.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if n > MAX_CUP_DIM_N:
-        raise ValueError(f"the cup span's n = {n} is limited to {MAX_CUP_DIM_N}")
-    pairs = list(combinations(range(1, n + 1), 2))
-    seen = {key for a, b in combinations(pairs, 2) for key in cup_reduce(a, b)}
-    if len(seen) != 3 * comb(n, 4) or not all(_is_pairing(key, n) for key in seen):
-        raise ArithmeticError("reduced products do not match the pairing basis")
-    return len(seen)
-
-
-def _is_pairing(key, n: int) -> bool:
-    """Whether key is ((a, b), (c, d)) with a < b, c < d, a < c on four
-    distinct indices in [n]."""
-    (a, b), (c, d) = key
-    return 0 < a < b <= n and a < c < d <= n and b not in (c, d)
 
 
 def permute_basis_key(w, key) -> tuple[tuple, int]:
@@ -152,16 +125,16 @@ def _signed_permutation_character(n: int) -> ClassFunction:
 
 def cup_span_representation(n: int, cross_check: bool = True) -> SchurVector:
     """The cup span as a representation: the pairing module of a 4-subset
-    induced up with a trivial factor, evaluated by Pieri.
+    induced up with a trivial factor, evaluated by Pieri; for 0 <= n < 4,
+    where no 4-subset exists, the zero module.
 
     At every n its dimension must be 3 * C(n, 4), the size of the pairing
     basis, which no strip rule decides. With cross_check, the
     signed-permutation character of the action on the pairing basis must
-    equal the character of the Pieri route.
+    equal the character of the Pieri route; below n = 4 both are 0.
     """
-    if n < 4:
-        raise ValueError("n must be at least 4")
-    pieri_route = pieri_h(SchurVector(4, {(2, 1, 1): 1}), n - 4)
+    pieri_route = (pieri_h(SchurVector(4, {(2, 1, 1): 1}), n - 4) if n >= 4
+                   else SchurVector.zero(n))  # SchurVector refuses a negative n
     if pieri_route.dimension() != 3 * comb(n, 4):
         raise ArithmeticError(f"Pieri route {pieri_route!r} at n={n} has dimension "
                               f"{pieri_route.dimension()}, not 3 * C({n}, 4) = {3 * comb(n, 4)}")

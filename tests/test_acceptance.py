@@ -20,7 +20,6 @@ from coxtoric.cohomology import (
 from coxtoric.cup_product import (
     branching_certificate,
     branching_infeasibility,
-    cup_span_dimension,
     cup_span_representation,
 )
 from coxtoric.poset_homology import homology_ranks, whitney_homology
@@ -183,7 +182,7 @@ def test_criterion_08_model_geometry():
 
 def test_criterion_09_cup_products():
     t0 = time.perf_counter()
-    ok = all(cup_span_dimension(n) == 3 * comb(n, 4) for n in range(4, 11))
+    ok = all(cup_span_representation(n).dimension() == 3 * comb(n, 4) for n in range(4, 11))
     expected = {
         4: {(2, 1, 1): 1},
         5: {(3, 1, 1): 1, (2, 2, 1): 1, (2, 1, 1, 1): 1},

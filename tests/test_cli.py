@@ -567,6 +567,11 @@ def test_cup_commands(capsys):
     assert payload["dimension"] == 45 and payload["betti_2"] == 75
     assert not payload["spans_h2"]
 
+    # the Pieri module is 0 below n = 4, and cup-dim reads it past n = 40 too
+    for n, dimension in (("2", 0), ("3", 0), ("41", 303810)):
+        code, out, _ = run_cli(capsys, "cup-dim", "--n", n)
+        assert code == 0 and json.loads(out)["dimension"] == dimension
+
     code, out, _ = run_cli(capsys, "cup-rep", "--n", "5")
     assert code == 0
     payload = json.loads(out)
@@ -643,8 +648,10 @@ def test_printed_modules_are_genuine(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [("cup-rep", "--n", "31"), ("cup-rep", "--n", "12"),
-                                  ("branching-check", "--n", "12")],
-                         ids=["cup-rep-31", "cup-rep-12", "branching-check-12"])
+                                  ("branching-check", "--n", "12"), ("cup-dim", "--n", "12"),
+                                  ("cup-dim", "--n", "41")],
+                         ids=["cup-rep-31", "cup-rep-12", "branching-check-12", "cup-dim-12",
+                              "cup-dim-41"])
 def test_cup_span_dimension_checked_at_every_n(monkeypatch, capsys, argv):
     """A Pieri route that drops one constituent misses 3 * C(n, 4), above
     n = 30 too, where no trace cross-checks it."""

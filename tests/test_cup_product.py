@@ -12,7 +12,6 @@ from coxtoric.cup_product import (
     branching_certificate,
     branching_infeasibility,
     cup_reduce,
-    cup_span_dimension,
     cup_span_representation,
     degree_one_class,
     permute_basis_key,
@@ -33,6 +32,11 @@ def test_degree_one_normal_form():
     assert degree_one_class(2, 1) == ((1, 2), -1)
     with pytest.raises(ValueError):
         degree_one_class(3, 3)
+    # a factor is a pair of distinct positive ints: a bool, a float or a
+    # short pair is refused, not read into a malformed key
+    for first, second in [((True, 2), (3, 4)), ((1.5, 2), (3, 4)), ((1, 2), (3,))]:
+        with pytest.raises(ValueError):
+            cup_reduce(first, second)
 
 
 def test_cup_reduce():
@@ -45,19 +49,19 @@ def test_cup_reduce():
 
 
 def test_span_dimension():
-    assert cup_span_dimension(3) == 0
-    assert cup_span_dimension(4) == 3
-    assert cup_span_dimension(6) == 45
-    for n in range(4, 11):
-        assert cup_span_dimension(n) == 3 * comb(n, 4)
-        assert len(pairing_basis(n)) == 3 * comb(n, 4)
+    """The Pieri module's dimension, which cup-dim prints, against the
+    oracle's own enumeration of the pairing basis; below n = 4 both are 0."""
+    for n in range(0, 11):
+        assert cup_span_representation(n).dimension() == len(pairing_basis(n)) == 3 * comb(n, 4)
 
 
 @pytest.mark.parametrize("bad", [
-    {},                    # ((1,2),(3,4)) never occurs: one key short
-    {((2, 1), (3, 4)): 1},  # a malformed key in its place: the count still matches
+    {},                    # ((1,2),(3,4)) never occurs: no image to unpack
+    {((2, 1), (3, 4)): 1},  # a malformed key in its place: the trace is wrong
 ])
-def test_span_dimension_rejects_wrong_reduction(monkeypatch, bad):
+def test_span_dimension_rejects_wrong_reduction(monkeypatch, capsys, bad):
+    """A cup_reduce that loses or misnames the product nu(1,2) nu(3,4) fails
+    the character route, in the library and through cup-dim."""
     honest = cup_product.cup_reduce
 
     def reduce(first, second):
@@ -65,8 +69,10 @@ def test_span_dimension_rejects_wrong_reduction(monkeypatch, bad):
         return bad if ((1, 2), (3, 4)) in out else out
 
     monkeypatch.setattr(cup_product, "cup_reduce", reduce)
-    with pytest.raises(ArithmeticError, match="pairing basis"):
-        cup_span_dimension(6)
+    with pytest.raises(ArithmeticError if bad else ValueError):
+        cup_span_representation(6)
+    assert cli.main(["cup-dim", "--n", "6"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_representation_verbatim():

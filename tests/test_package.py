@@ -23,7 +23,7 @@ EXPORTS = {
                         "permute_point", "representative_point", "torus_act",
                         "torus_embedding"],
     "cup_product": ["branching_certificate", "branching_infeasibility", "cup_reduce",
-                    "cup_span_dimension", "cup_span_representation"],
+                    "cup_span_representation"],
 }
 
 
@@ -106,7 +106,6 @@ LIMITS = {
                              "bounds its time, which still grows where both fit",
     "branching_infeasibility": lambda: coxtoric.branching_infeasibility(70),
     "cup_reduce": "two index pairs in, one key out",
-    "cup_span_dimension": lambda: coxtoric.cup_span_dimension(41),
     "cup_span_representation": lambda: coxtoric.cup_span_representation(70),
 }
 
